@@ -481,6 +481,17 @@ pub fn failure_json(err: &EncodeError, lint_cs: Option<&ConstraintSet>) -> Json 
     Json::obj().field("ok", false).field("error", e)
 }
 
+/// The typed `internal` failure answered for a request whose solve
+/// panicked: the request is abandoned and the worker keeps serving.
+pub(crate) fn panic_json() -> Json {
+    Json::obj().field("ok", false).field(
+        "error",
+        Json::obj()
+            .field("class", "internal")
+            .field("message", "worker panicked; request abandoned"),
+    )
+}
+
 /// A rendered outcome: one line of compact JSON (no trailing newline)
 /// plus the exit code the CLI uses for it.
 #[derive(Debug, Clone, PartialEq, Eq)]

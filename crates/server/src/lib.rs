@@ -82,4 +82,3 @@ pub use exec::{
     Outcome, PROTOCOL_VERSION,
 };
 pub use server::{serve_stdio, serve_tcp, ServeOptions};
-pub use session::SessionRegistry;

@@ -6,15 +6,22 @@
 //!
 //! Concurrency shape: the stdio main loop, or the single event-loop
 //! thread ([`poller`]-driven, one nonblocking socket set), parses each
-//! request and either answers inline (`stats`, `shutdown`, malformed
-//! requests, shed load) or enqueues an encode job. `std::thread::scope`
-//! workers pop jobs, run the shared [`outcome`] pipeline with
-//! `Parallelism::Off` (the pool itself is the parallelism) and hand the
-//! response back — directly to the stdio sink, or through a completion
-//! queue plus [`poller::Waker`] to the event loop, which owns all
-//! sockets and does every read and write itself. Shutdown closes the
-//! queue; workers finish every accepted job before exiting, so no
+//! request and either answers it at once (`stats`, `shutdown`, malformed
+//! requests, shed load) or queues it: an `encode` as a job of its own, a
+//! session operation on its session's FIFO lane (see [`session`]).
+//! Both kinds pass through the one bounded queue, and the dispatching
+//! thread never solves. `std::thread::scope` workers pop jobs, run the
+//! shared [`outcome`] pipeline or the lane with `Parallelism::Off` (the
+//! pool itself is the parallelism) and hand the response back — directly
+//! to the stdio sink, or through a completion queue plus
+//! [`poller::Waker`] to the event loop, which owns all sockets and does
+//! every read and write itself. Accepted sockets get `TCP_NODELAY`, so a
+//! reply goes out when it is ready rather than when the peer has
+//! acknowledged the previous one (Nagle's algorithm). Shutdown closes
+//! the queue; workers finish every accepted job before exiting, so no
 //! request is silently dropped.
+//!
+//! [`session`]: crate::session
 //!
 //! Per-connection protocol is auto-detected from the first byte (when
 //! [`ServeOptions::http`] is on): `{` starts the NDJSON protocol,
@@ -25,11 +32,11 @@
 
 use crate::cache::ResultCache;
 use crate::diskcache::DiskCache;
-use crate::exec::{failure_json, outcome, EncodeSpec, Mode, Outcome, PROTOCOL_VERSION};
+use crate::exec::{failure_json, outcome, panic_json, EncodeSpec, Mode, Outcome, PROTOCOL_VERSION};
 use crate::http;
 use crate::poller::{self, Events, Interest, Poller, WAKER_TOKEN};
 use crate::queue::BoundedQueue;
-use crate::session::SessionRegistry;
+use crate::session::{Lane, SessionRegistry};
 use ioenc_core::json::Json;
 use ioenc_core::{CancelToken, CostFunction, EncodeError, Parallelism};
 use std::collections::{BTreeMap, HashMap};
@@ -46,8 +53,8 @@ use std::time::{Duration, Instant};
 pub struct ServeOptions {
     /// Worker threads (minimum 1).
     pub workers: usize,
-    /// Bounded queue capacity; excess encode requests are shed with an
-    /// `overloaded` response.
+    /// Bounded queue capacity; excess `encode` and session requests are
+    /// shed with an `overloaded` response.
     pub queue_capacity: usize,
     /// Result-cache capacity in entries; `0` disables the cache
     /// (including any disk tier).
@@ -140,12 +147,22 @@ enum Reply {
     },
 }
 
-struct Job {
-    /// The request's `id`, re-rendered as JSON and echoed verbatim.
-    id: String,
-    text: String,
-    spec: EncodeSpec,
-    reply: Reply,
+/// A session operation's way back: the request's `id` and its reply
+/// route.
+type Ticket = (String, Reply);
+
+enum Job {
+    /// A one-shot `encode`.
+    Encode {
+        /// The request's `id`, re-rendered as JSON and echoed verbatim.
+        id: String,
+        text: String,
+        spec: EncodeSpec,
+        reply: Reply,
+    },
+    /// A session operation was appended to this lane; run it unless
+    /// another worker already is.
+    Session(Arc<Lane<Ticket>>),
 }
 
 /// A finished job traveling from a worker back to the event loop.
@@ -159,7 +176,7 @@ struct Completion {
 struct Shared {
     cache: Option<ResultCache>,
     queue: BoundedQueue<Job>,
-    sessions: SessionRegistry,
+    sessions: SessionRegistry<Ticket>,
     cancel: CancelToken,
     shutdown: AtomicBool,
     shed: AtomicU64,
@@ -244,28 +261,28 @@ fn deliver(shared: &Shared, reply: &Reply, id: &str, result: &str) {
 
 fn worker(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            outcome(
-                &job.text,
-                &job.spec,
-                shared.cache.as_ref(),
-                Some(&shared.cancel),
-            )
-        }));
-        let out = result.unwrap_or_else(|_| Outcome {
-            json: Json::obj()
-                .field("ok", false)
-                .field(
-                    "error",
-                    Json::obj()
-                        .field("class", "internal")
-                        .field("message", "worker panicked; request abandoned"),
-                )
-                .render(),
-            exit_code: 1,
-        });
-        shared.processed.fetch_add(1, Ordering::Relaxed);
-        deliver(shared, &job.reply, &job.id, &out.json);
+        match job {
+            Job::Encode {
+                id,
+                text,
+                spec,
+                reply,
+            } => {
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    outcome(&text, &spec, shared.cache.as_ref(), Some(&shared.cancel))
+                }));
+                let out = result.unwrap_or_else(|_| Outcome {
+                    json: panic_json().render(),
+                    exit_code: 1,
+                });
+                shared.processed.fetch_add(1, Ordering::Relaxed);
+                deliver(shared, &reply, &id, &out.json);
+            }
+            Job::Session(lane) => lane.run(|(id, reply), answer| {
+                shared.processed.fetch_add(1, Ordering::Relaxed);
+                deliver(shared, &reply, &id, &answer.render());
+            }),
+        }
     }
 }
 
@@ -432,15 +449,16 @@ enum Dispatched {
     Nothing,
     /// Answered inline; emit this response.
     Immediate { id: String, result: String },
-    /// An encode job was queued; its response arrives via the job's
-    /// [`Reply`].
+    /// An `encode` job or a session operation was queued; its response
+    /// arrives via its [`Reply`].
     Queued,
     /// Answered inline and the whole server is shutting down.
     Shutdown { id: String, result: String },
 }
 
-/// Handles one request line: answers `stats`/`shutdown`/sessions/errors
-/// inline, queues `encode` jobs (with `reply` cloned into the job).
+/// Handles one request line: answers `stats`/`shutdown`/errors at once,
+/// queues `encode` jobs and session operations (with `reply` cloned into
+/// each).
 fn dispatch_line(shared: &Shared, line: &str, reply: &Reply) -> Dispatched {
     let trimmed = line.trim();
     if trimmed.is_empty() {
@@ -492,9 +510,9 @@ fn dispatch_line(shared: &Shared, line: &str, reply: &Reply) -> Dispatched {
                     .render(),
             }
         }
-        // Session operations run inline: each mutates its session, so
-        // per-session ordering is part of the protocol (see the
-        // `session` module docs). They never touch the result cache.
+        // Session operations queue on their session's lane, which keeps
+        // per-session order (see the `session` module docs). They never
+        // touch the result cache.
         "open" | "delta" | "close" => {
             if shared.shutdown.load(Ordering::SeqCst) {
                 shared.shed.fetch_add(1, Ordering::Relaxed);
@@ -503,15 +521,20 @@ fn dispatch_line(shared: &Shared, line: &str, reply: &Reply) -> Dispatched {
                     result: overloaded_json(shared).render(),
                 };
             }
-            let result = match op {
-                "open" => shared.sessions.open(&req),
-                "delta" => shared.sessions.delta(&req),
-                _ => shared.sessions.close(&req),
-            };
-            shared.processed.fetch_add(1, Ordering::Relaxed);
-            Dispatched::Immediate {
-                id,
-                result: result.render(),
+            let admitted = shared
+                .sessions
+                .admit(op, &req, (id.clone(), reply.clone()), |lane| {
+                    shared.queue.try_push(Job::Session(lane)).map_err(|_| {
+                        shared.shed.fetch_add(1, Ordering::Relaxed);
+                        overloaded_json(shared)
+                    })
+                });
+            match admitted {
+                Ok(()) => Dispatched::Queued,
+                Err(answer) => Dispatched::Immediate {
+                    id,
+                    result: answer.render(),
+                },
             }
         }
         "encode" => {
@@ -524,7 +547,7 @@ fn dispatch_line(shared: &Shared, line: &str, reply: &Reply) -> Dispatched {
             }
             match parse_encode_request(&req) {
                 Ok((text, spec)) => {
-                    let job = Job {
+                    let job = Job::Encode {
                         id: id.clone(),
                         text,
                         spec,
@@ -557,19 +580,24 @@ fn dispatch_line(shared: &Shared, line: &str, reply: &Reply) -> Dispatched {
 
 /// Serves NDJSON requests from `input`, writing responses to `sink`.
 /// Returns after end-of-input or a `shutdown` request, once every
-/// accepted job has been answered.
-fn serve_reader<R: BufRead>(opts: &ServeOptions, input: R, sink: Sink) -> std::io::Result<()> {
+/// accepted job has been answered. Lines are decoded like TCP ones:
+/// invalid UTF-8 becomes U+FFFD, so such a line gets a typed `parse`
+/// error and the requests after it are still served.
+fn serve_reader<R: BufRead>(opts: &ServeOptions, mut input: R, sink: Sink) -> std::io::Result<()> {
     let shared = Shared::new(opts)?;
     std::thread::scope(|s| {
         for _ in 0..shared.workers {
             s.spawn(|| worker(&shared));
         }
         let reply = Reply::Sink(sink.clone());
-        for line in input.lines() {
-            let line = match line {
-                Ok(l) => l,
-                Err(_) => break,
-            };
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            match input.read_until(b'\n', &mut buf) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
+            }
+            let line = String::from_utf8_lossy(&buf);
             match dispatch_line(&shared, &line, &reply) {
                 Dispatched::Nothing | Dispatched::Queued => {}
                 Dispatched::Immediate { id, result } => write_response(&sink, &id, &result),
@@ -959,6 +987,14 @@ fn serve_listener(opts: &ServeOptions, listener: TcpListener) -> std::io::Result
     Ok(())
 }
 
+/// Readies an accepted connection for the event loop: nonblocking, and
+/// with `TCP_NODELAY`, because a reply is one small write that Nagle's
+/// algorithm would hold until the peer acknowledged the previous one.
+fn prepare_accepted(stream: &TcpStream) -> std::io::Result<()> {
+    poller::set_nonblocking_stream(stream)?;
+    stream.set_nodelay(true)
+}
+
 fn event_loop(shared: &Shared, opts: &ServeOptions, poller: &Poller, listener: &TcpListener) {
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut events = Events::new();
@@ -1011,7 +1047,7 @@ fn event_loop(shared: &Shared, opts: &ServeOptions, poller: &Poller, listener: &
             loop {
                 match listener.accept() {
                     Ok((stream, _)) => {
-                        if poller::set_nonblocking_stream(&stream).is_err() {
+                        if prepare_accepted(&stream).is_err() {
                             continue;
                         }
                         let token = next_token;
@@ -1078,7 +1114,10 @@ mod tests {
     const SECTION1: &str = "symbols: a b c d\n(b,c)\n(c,d)\n(b,a)\n(a,d)\nb>c\na>c\na=b|d\n";
 
     fn serve_lines(opts: &ServeOptions, requests: &[String]) -> Vec<String> {
-        let input = requests.join("\n") + "\n";
+        serve_bytes(opts, (requests.join("\n") + "\n").as_bytes())
+    }
+
+    fn serve_bytes(opts: &ServeOptions, input: &[u8]) -> Vec<String> {
         let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
 
         struct SharedBuf(Arc<Mutex<Vec<u8>>>);
@@ -1093,7 +1132,7 @@ mod tests {
         }
 
         let sink: Sink = Arc::new(Mutex::new(Box::new(SharedBuf(buf.clone()))));
-        serve_reader(opts, input.as_bytes(), sink).unwrap();
+        serve_reader(opts, input, sink).unwrap();
         let out = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         out.lines().map(str::to_string).collect()
     }
@@ -1177,38 +1216,52 @@ mod tests {
     #[test]
     fn session_ops_round_trip_through_the_dispatcher() {
         let base = "symbols: a b c d\n(a,b)\n(c,d)\n";
+        let req = |id: u64, op: &str| Json::obj().field("id", id).field("op", op);
+        let delta = |id: u64, sid: u64, line: &str| {
+            req(id, "delta")
+                .field("session", sid)
+                .field("add", vec![Json::from(line)])
+        };
+        // Two sessions' operations, interleaved and pipelined on one stream.
         let reqs = vec![
-            Json::obj()
-                .field("id", 1u64)
-                .field("op", "open")
-                .field("text", base)
-                .render(),
-            Json::obj()
-                .field("id", 2u64)
-                .field("op", "delta")
-                .field("session", 1u64)
-                .field("add", vec![Json::from("(b,c)")])
-                .render(),
-            Json::obj().field("id", 3u64).field("op", "stats").render(),
-            Json::obj()
-                .field("id", 4u64)
-                .field("op", "close")
-                .field("session", 1u64)
-                .render(),
+            req(1, "open").field("text", base).render(),
+            req(2, "open").field("text", base).render(),
+            delta(3, 1, "(b,c)").render(),
+            delta(4, 2, "(a,d)").render(),
+            req(5, "stats").render(),
+            delta(6, 1, "a>c").render(),
+            req(7, "close").field("session", 1u64).render(),
+            req(8, "stats").render(),
+            delta(9, 1, "(a,c)").render(),
         ];
-        let lines = serve_lines(&ServeOptions::new().with_workers(1), &reqs);
-        assert_eq!(lines.len(), 4);
-        let result = |want: u64| {
+        let run = |workers: usize| -> HashMap<u64, String> {
+            let lines = serve_lines(&ServeOptions::new().with_workers(workers), &reqs);
+            assert_eq!(lines.len(), reqs.len());
             lines
-                .iter()
-                .map(|l| Json::parse(l).unwrap())
-                .find(|j| j.get("id").and_then(Json::as_u64) == Some(want))
-                .and_then(|j| j.get("result").cloned())
+                .into_iter()
+                .map(|l| {
+                    let id = Json::parse(&l).unwrap().get("id").and_then(Json::as_u64);
+                    (id.unwrap(), l)
+                })
+                .collect()
+        };
+        let lines = run(2);
+        let result = |want: u64| {
+            Json::parse(&lines[&want])
+                .unwrap()
+                .get("result")
+                .cloned()
                 .unwrap()
         };
-        let opened = result(1);
-        assert_eq!(opened.get("session").and_then(Json::as_u64), Some(1));
-        let applied = result(2);
+        // Session ids follow request order, whichever solve ends first.
+        for (id, sid) in [(1, 1), (2, 2), (3, 1), (4, 2), (6, 1), (7, 1)] {
+            assert_eq!(
+                result(id).get("session").and_then(Json::as_u64),
+                Some(sid),
+                "request {id}"
+            );
+        }
+        let applied = result(3);
         assert_eq!(
             applied
                 .get("reuse")
@@ -1216,36 +1269,40 @@ mod tests {
                 .and_then(Json::as_bool),
             Some(true)
         );
-        // Sessions are answered inline and never consult the result cache.
-        let stats = result(3);
-        assert_eq!(
-            stats
-                .get("cache")
-                .and_then(|c| c.get("hits"))
-                .and_then(Json::as_u64),
-            Some(0)
-        );
-        assert_eq!(
-            stats
-                .get("cache")
-                .and_then(|c| c.get("misses"))
-                .and_then(Json::as_u64),
-            Some(0)
-        );
-        assert_eq!(stats.get("sessions").and_then(Json::as_u64), Some(1));
-        assert_eq!(result(4).get("closed").and_then(Json::as_bool), Some(true));
+        assert_eq!(result(7).get("closed").and_then(Json::as_bool), Some(true));
+        assert!(lines[&9].contains("no open session 1"), "{}", lines[&9]);
+        // `stats` counts sessions as of its own place in the stream, and
+        // sessions never consult the result cache.
+        for (id, live) in [(5, 2), (8, 1)] {
+            let stats = result(id);
+            assert_eq!(stats.get("sessions").and_then(Json::as_u64), Some(live));
+            let cache = stats.get("cache").unwrap();
+            assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(0));
+            assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(0));
+        }
+        // One worker runs every operation in arrival order: the replies
+        // of the parallel run match it byte for byte.
+        let sequential = run(1);
+        for id in [1, 2, 3, 4, 6, 7, 9] {
+            assert_eq!(lines[&id], sequential[&id], "request {id}");
+        }
     }
 
     #[test]
     fn malformed_lines_get_typed_parse_errors_not_panics() {
-        let reqs = vec![
-            "this is not json".to_string(),
-            "{\"id\":9,\"op\":\"encode\"}".to_string(),
-            "{\"id\":10,\"op\":\"frobnicate\"}".to_string(),
-            "{\"id\":11,\"op\":\"encode\",\"text\":\"no header\"}".to_string(),
+        let reqs = [
+            "this is not json",
+            "{\"id\":9,\"op\":\"encode\"}",
+            "{\"id\":10,\"op\":\"frobnicate\"}",
+            "{\"id\":11,\"op\":\"encode\",\"text\":\"no header\"}",
         ];
-        let lines = serve_lines(&ServeOptions::new().with_workers(1), &reqs);
-        assert_eq!(lines.len(), 4);
+        let mut input = (reqs.join("\n") + "\n").into_bytes();
+        // Invalid UTF-8 decodes lossily, as over TCP: one parse error, and
+        // the stream goes on.
+        input.extend_from_slice(b"{\"id\":12,\"op\":\"stats\"}\xff\n");
+        input.extend_from_slice(b"{\"id\":13,\"op\":\"frobnicate\"}\n");
+        let lines = serve_bytes(&ServeOptions::new().with_workers(1), &input);
+        assert_eq!(lines.len(), 6);
         for line in &lines {
             let v = Json::parse(line).unwrap();
             let err = v
@@ -1263,15 +1320,26 @@ mod tests {
     fn overload_sheds_with_an_explicit_response() {
         // One worker, one queue slot, no cache: burst enough requests
         // that at least one is shed (the reader enqueues much faster
-        // than a solve completes).
-        let mut reqs: Vec<String> = (0..12).map(|i| encode_request(i, SECTION1)).collect();
+        // than a solve completes). Session opens share the queue; the
+        // first one finds it empty.
+        let open = |id: u64| {
+            let req = Json::obj().field("id", id).field("op", "open");
+            req.field("text", SECTION1).render()
+        };
+        let mut reqs = vec![open(100)];
+        for i in 0..12 {
+            reqs.push(encode_request(i, SECTION1));
+            if i % 2 == 0 {
+                reqs.push(open(101 + i));
+            }
+        }
         reqs.push(Json::obj().field("id", 99u64).field("op", "stats").render());
         let opts = ServeOptions::new()
             .with_workers(1)
             .with_queue_capacity(1)
             .with_cache_entries(0);
         let lines = serve_lines(&opts, &reqs);
-        assert_eq!(lines.len(), 13);
+        assert_eq!(lines.len(), 20);
         let shed = lines
             .iter()
             .filter(|l| l.contains("\"class\":\"overloaded\""))
@@ -1286,6 +1354,30 @@ mod tests {
             .and_then(Json::as_u64)
             .unwrap();
         assert_eq!(reported as usize, shed);
+        // Opens are shed like encodes, and a shed `open` consumes no
+        // session id: the admitted ones are numbered 1, 2, … in request
+        // order.
+        let (mut opened, mut shed_opens) = (Vec::new(), 0);
+        for line in &lines {
+            let reply = Json::parse(line).unwrap();
+            let id = reply.get("id").and_then(Json::as_u64).unwrap();
+            if id < 100 {
+                continue;
+            }
+            match reply.get("result").and_then(|r| r.get("session")) {
+                Some(sid) => opened.push((id, sid.as_u64().unwrap())),
+                None => {
+                    assert!(line.contains("\"class\":\"overloaded\""), "{line}");
+                    shed_opens += 1;
+                }
+            }
+        }
+        opened.sort_unstable();
+        let sids: Vec<u64> = opened.iter().map(|&(_, sid)| sid).collect();
+        assert!(shed_opens > 0 && !sids.is_empty(), "{lines:?}");
+        assert_eq!(sids, (1..=sids.len() as u64).collect::<Vec<_>>());
+        let live = v.get("result").and_then(|r| r.get("sessions"));
+        assert_eq!(live.and_then(Json::as_u64), Some(sids.len() as u64));
     }
 
     fn connect_with_retry(port: u16) -> TcpStream {
@@ -1297,6 +1389,88 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         panic!("server did not accept within 1s");
+    }
+
+    #[test]
+    fn accepted_streams_are_nonblocking_with_nodelay() {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        prepare_accepted(&stream).unwrap();
+        assert!(
+            stream.nodelay().unwrap(),
+            "replies would wait on Nagle's algorithm"
+        );
+        let err = (&stream).read(&mut [0u8; 1]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
+    }
+
+    fn read_line(reader: &mut BufReader<TcpStream>) -> String {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line
+    }
+
+    /// A session `open` that solves for seconds (about 4 s in a debug
+    /// build) must not hold up another connection: B's `stats` and a
+    /// cached `encode` are answered while A's `open` reply is still owed.
+    #[test]
+    fn a_slow_session_op_does_not_delay_other_connections() {
+        const SLOW: &str = "symbols: s0 s1 s2 s3 s4 s5 s6 s7 s8 s9\n(s0,s1)\n(s2,s3)\n";
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let port = listener.local_addr().unwrap().port();
+        let opts = ServeOptions::new().with_workers(2);
+        let server = std::thread::spawn(move || serve_listener(&opts, listener));
+
+        // B warms the cache.
+        let b = connect_with_retry(port);
+        let mut bw = b.try_clone().unwrap();
+        let mut br = BufReader::new(b);
+        writeln!(bw, "{}", encode_request(1, SECTION1)).unwrap();
+        let warm = read_line(&mut br);
+
+        // A opens the slow session. The `stats` behind it on the same
+        // connection is answered once the open has been dispatched.
+        let a = connect_with_retry(port);
+        let mut aw = a.try_clone().unwrap();
+        let mut ar = BufReader::new(a);
+        let open = Json::obj()
+            .field("id", 10u64)
+            .field("op", "open")
+            .field("text", SLOW)
+            .render();
+        write!(aw, "{open}\n{{\"id\":11,\"op\":\"stats\"}}\n").unwrap();
+        let first = read_line(&mut ar);
+        assert!(first.starts_with("{\"id\":11,"), "stats waited: {first}");
+
+        // B: a cached encode, then `stats` showing that it hit.
+        writeln!(bw, "{}", encode_request(2, SECTION1)).unwrap();
+        let cached = read_line(&mut br);
+        assert_eq!(cached, warm.replacen("\"id\":1,", "\"id\":2,", 1));
+        writeln!(bw, "{{\"id\":3,\"op\":\"stats\"}}").unwrap();
+        let stats = Json::parse(&read_line(&mut br)).unwrap();
+        let hits = stats
+            .get("result")
+            .and_then(|r| r.get("cache"))
+            .and_then(|c| c.get("hits"))
+            .and_then(Json::as_u64);
+        assert_eq!(hits, Some(1));
+
+        // All of that came back before A's open reply.
+        ar.get_ref().set_nonblocking(true).unwrap();
+        let owed = ar.fill_buf().map(|buf| buf.len());
+        assert!(
+            matches!(&owed, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+            "the open was answered first: {owed:?}"
+        );
+        ar.get_ref().set_nonblocking(false).unwrap();
+        let opened = read_line(&mut ar);
+        assert!(opened.starts_with("{\"id\":10,"), "{opened}");
+        assert!(opened.contains("\"ok\":true,\"session\":1,"), "{opened}");
+
+        writeln!(bw, "{{\"id\":4,\"op\":\"shutdown\"}}").unwrap();
+        assert!(read_line(&mut br).contains("\"shutting_down\":true"));
+        server.join().unwrap().unwrap();
     }
 
     #[test]

@@ -14,129 +14,233 @@
 //!   carry reuse accounting that is true for *this* session's history
 //!   only, so caching them would replay lies. The underlying solves stay
 //!   deterministic, which keeps responses reproducible anyway.
-//! * **Session operations run inline on the connection thread**, not on
-//!   the worker pool: each operation mutates the session, so per-session
-//!   ordering is part of the protocol. Operations on *different* sessions
-//!   still serialize through the registry lock — sessions are a
-//!   low-latency edit loop, not a batch throughput path.
+//! * **Session operations run on the worker pool, in one FIFO lane per
+//!   session.** The server's dispatcher (the stdio reader or the event
+//!   loop) admits each `open`/`delta`/`close` in arrival order: it checks
+//!   the request, appends the operation to its session's lane and
+//!   pushes the lane through the server's bounded queue, so session
+//!   operations count against `--queue` and are shed as `overloaded`
+//!   like encodes. A worker that pops a lane runs its waiting operations
+//!   in order; when another worker is already running that lane it
+//!   returns at once, and the running worker picks the operation up.
+//!   Operations on one session therefore run one at a time in arrival
+//!   order, different sessions run in parallel, no worker waits for
+//!   another operation's turn, and no lock is held across a solve.
+//! * **Ids and counts are fixed at dispatch.** An `open` gets its session
+//!   id when it is admitted, and the live-session count moves when an
+//!   `open` or `close` is admitted, so both are functions of the request
+//!   stream, whichever worker finishes first.
 //! * **Deadline-budgeted sessions stay correct**: [`Session`] only builds
 //!   incremental state under an unlimited budget, so a deadline-truncated
 //!   solve can never seed state that a later delta would reuse (the same
 //!   reason deadline requests bypass the result cache).
 
-use crate::exec::{failure_json, parse_constraint_text, work_units_json};
+use crate::exec::{failure_json, panic_json, parse_constraint_text, work_units_json};
 use ioenc_core::json::Json;
 use ioenc_core::{ConstraintSet, Delta, EncodeError, Session, SessionOutcome, SolutionDetail};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The live sessions of one server instance, addressed by server-assigned
-/// numeric ids.
-#[derive(Debug, Default)]
-pub struct SessionRegistry {
-    next: AtomicU64,
-    sessions: Mutex<HashMap<u64, Session>>,
+/// numeric ids. `T` is the tag each admitted operation carries to its
+/// answer (the server's request id and reply route).
+pub(crate) struct SessionRegistry<T> {
+    lanes: Mutex<Lanes<T>>,
 }
 
-impl SessionRegistry {
+struct Lanes<T> {
+    /// The id of the most recently admitted `open`.
+    last_id: u64,
+    /// Sessions opened and not yet closed, as of the last admitted
+    /// operation.
+    live: HashMap<u64, Arc<Lane<T>>>,
+}
+
+impl<T> SessionRegistry<T> {
     /// An empty registry.
-    pub fn new() -> Self {
-        SessionRegistry::default()
-    }
-
-    /// The number of live sessions.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether no sessions are open.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Session>> {
-        self.sessions.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Handles an `open` request: parse `text`, configure the solver from
-    /// the spec fields, solve, and return the result with a fresh
-    /// `session` id. The session is created (and survives) even when the
-    /// initial solve fails — say, the set is infeasible — so the client
-    /// can repair it with deltas.
-    pub fn open(&self, req: &Json) -> Json {
-        match self.try_open(req) {
-            Ok((sid, cs, outcome)) => render_outcome(sid, &cs, &outcome),
-            Err(e) => failure_json(&e, None),
+    pub(crate) fn new() -> Self {
+        SessionRegistry {
+            lanes: Mutex::new(Lanes {
+                last_id: 0,
+                live: HashMap::new(),
+            }),
         }
     }
 
-    fn try_open(
+    /// The number of live sessions: admitted `open`s minus admitted
+    /// `close`s.
+    pub(crate) fn len(&self) -> usize {
+        self.lock().live.len()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Lanes<T>> {
+        self.lanes.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Admits one `op` request (`open`, `delta` or `close`): checks it,
+    /// appends it with `tag` to its session's lane (an `open` creates the
+    /// lane under the next session id) and hands the lane to `enqueue`,
+    /// which schedules a run of it. Returns the answer to send at once
+    /// instead when the request is malformed, names no open session, or
+    /// `enqueue` refuses; a refused operation is withdrawn as if it had
+    /// never arrived.
+    ///
+    /// An `open` whose set fails to solve still creates its session, so
+    /// the client can repair the set with deltas.
+    pub(crate) fn admit(
         &self,
+        op: &str,
         req: &Json,
-    ) -> Result<(u64, ConstraintSet, Result<SessionOutcome, EncodeError>), EncodeError> {
-        let (text, spec) = crate::server::parse_encode_request(req)?;
-        let cs = parse_constraint_text(&text)?;
-        let solver = spec.solver(None)?;
-        let mut session = Session::open(cs).with_solver(solver);
-        let outcome = session.solve();
-        let sid = self.next.fetch_add(1, Ordering::Relaxed) + 1;
-        let cs = session.constraints().clone();
-        self.lock().insert(sid, session);
-        Ok((sid, cs, outcome))
-    }
-
-    /// Handles a `delta` request: `{"session":N,"add":[…],"remove":[…]}`.
-    /// A malformed delta (bad line, unmatched removal) leaves the session
-    /// untouched; a well-formed delta that makes the set unsolvable
-    /// commits the edit and reports the solve error, exactly like
-    /// [`Session::apply`].
-    pub fn delta(&self, req: &Json) -> Json {
-        let sid = match req.get("session").and_then(Json::as_u64) {
-            Some(sid) => sid,
-            None => {
-                return failure_json(
-                    &EncodeError::parse("delta request needs a numeric 'session' field"),
+        tag: T,
+        enqueue: impl FnOnce(Arc<Lane<T>>) -> Result<(), Json>,
+    ) -> Result<(), Json> {
+        let mut lanes = self.lock();
+        let (lane, op) = if op == "open" {
+            let session = open_session(req).map_err(|e| failure_json(&e, None))?;
+            (Arc::new(Lane::new(lanes.last_id + 1, session)), Op::Open)
+        } else {
+            let sid = req.get("session").and_then(Json::as_u64).ok_or_else(|| {
+                failure_json(
+                    &EncodeError::parse(format!("{op} request needs a numeric 'session' field")),
                     None,
                 )
+            })?;
+            let op = if op == "delta" {
+                Op::Delta(parse_delta(req).map_err(|e| failure_json(&e, None))?)
+            } else {
+                Op::Close
+            };
+            let lane = lanes
+                .live
+                .get(&sid)
+                .cloned()
+                .ok_or_else(|| no_session(sid))?;
+            (lane, op)
+        };
+        let sid = lane.sid;
+        let (opens, closes) = (matches!(op, Op::Open), matches!(op, Op::Close));
+        {
+            // Holding the lane while enqueueing keeps a worker already
+            // running it from taking the operation before a refusal can
+            // withdraw it.
+            let mut state = lane.lock();
+            state.waiting.push_back((op, tag));
+            if let Err(answer) = enqueue(Arc::clone(&lane)) {
+                state.waiting.pop_back();
+                return Err(answer);
             }
-        };
-        let delta = match parse_delta(req) {
-            Ok(d) => d,
-            Err(e) => return failure_json(&e, None),
-        };
-        let mut sessions = self.lock();
-        let session = match sessions.get_mut(&sid) {
-            Some(s) => s,
-            None => {
-                return failure_json(&EncodeError::parse(format!("no open session {sid}")), None)
-            }
-        };
-        let outcome = session.apply(&delta);
-        let cs = session.constraints().clone();
-        drop(sessions);
-        render_outcome(sid, &cs, &outcome)
+        }
+        if opens {
+            lanes.last_id = sid;
+            lanes.live.insert(sid, lane);
+        } else if closes {
+            lanes.live.remove(&sid);
+        }
+        Ok(())
     }
+}
 
-    /// Handles a `close` request: drops the session and acknowledges.
-    pub fn close(&self, req: &Json) -> Json {
-        let sid = match req.get("session").and_then(Json::as_u64) {
-            Some(sid) => sid,
-            None => {
-                return failure_json(
-                    &EncodeError::parse("close request needs a numeric 'session' field"),
-                    None,
-                )
-            }
-        };
-        match self.lock().remove(&sid) {
-            Some(_) => Json::obj()
-                .field("ok", true)
-                .field("session", sid)
-                .field("closed", true),
-            None => failure_json(&EncodeError::parse(format!("no open session {sid}")), None),
+/// What an admitted operation does to its session.
+enum Op {
+    /// The first solve of a freshly opened session.
+    Open,
+    Delta(Delta),
+    Close,
+}
+
+/// One session's FIFO of admitted operations, run by at most one worker
+/// at a time.
+pub(crate) struct Lane<T> {
+    sid: u64,
+    state: Mutex<LaneState<T>>,
+}
+
+struct LaneState<T> {
+    /// `None` once the session is closed, or lost to a panicking solve.
+    session: Option<Session>,
+    /// Admitted operations not yet run, in arrival order.
+    waiting: VecDeque<(Op, T)>,
+    /// A worker is running this lane.
+    running: bool,
+}
+
+impl<T> Lane<T> {
+    fn new(sid: u64, session: Session) -> Self {
+        Lane {
+            sid,
+            state: Mutex::new(LaneState {
+                session: Some(session),
+                waiting: VecDeque::new(),
+                running: false,
+            }),
         }
     }
+
+    fn lock(&self) -> MutexGuard<'_, LaneState<T>> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Runs the waiting operations in arrival order, handing each tag and
+    /// answer to `done`, until none are left. Returns at once when another
+    /// worker is already running this lane: that worker also runs
+    /// everything queued behind its current operation.
+    pub(crate) fn run(&self, mut done: impl FnMut(T, Json)) {
+        let mut state = self.lock();
+        if state.running {
+            return;
+        }
+        state.running = true;
+        while let Some((op, tag)) = state.waiting.pop_front() {
+            let mut session = state.session.take();
+            drop(state);
+            let answer = catch_unwind(AssertUnwindSafe(|| self.step(&mut session, op)))
+                .unwrap_or_else(|_| {
+                    session = None;
+                    panic_json()
+                });
+            done(tag, answer);
+            state = self.lock();
+            state.session = session;
+        }
+        state.running = false;
+    }
+
+    fn step(&self, session: &mut Option<Session>, op: Op) -> Json {
+        let sid = self.sid;
+        let Some(s) = session.as_mut() else {
+            return no_session(sid);
+        };
+        match op {
+            Op::Open => {
+                let outcome = s.solve();
+                render_outcome(sid, s.constraints(), &outcome)
+            }
+            Op::Delta(delta) => {
+                let outcome = s.apply(&delta);
+                render_outcome(sid, s.constraints(), &outcome)
+            }
+            Op::Close => {
+                *session = None;
+                Json::obj()
+                    .field("ok", true)
+                    .field("session", sid)
+                    .field("closed", true)
+            }
+        }
+    }
+}
+
+/// Parses an `open` request into an unsolved session configured from its
+/// spec fields.
+fn open_session(req: &Json) -> Result<Session, EncodeError> {
+    let (text, spec) = crate::server::parse_encode_request(req)?;
+    let cs = parse_constraint_text(&text)?;
+    Ok(Session::open(cs).with_solver(spec.solver(None)?))
+}
+
+fn no_session(sid: u64) -> Json {
+    failure_json(&EncodeError::parse(format!("no open session {sid}")), None)
 }
 
 fn parse_delta(req: &Json) -> Result<Delta, EncodeError> {
@@ -223,12 +327,27 @@ mod tests {
         Json::obj().field("op", "open").field("text", text)
     }
 
+    /// Admits `req` and runs its lane on this thread: one request,
+    /// answered sequentially.
+    fn call<T: Default>(reg: &SessionRegistry<T>, op: &str, req: &Json) -> Json {
+        let mut lane = None;
+        if let Err(answer) = reg.admit(op, req, T::default(), |l| {
+            lane = Some(l);
+            Ok(())
+        }) {
+            return answer;
+        }
+        let mut answer = None;
+        lane.unwrap().run(|_, a| answer = Some(a));
+        answer.unwrap()
+    }
+
     const BASE: &str = "symbols: a b c d\n(a,b)\n(c,d)\na>c\n";
 
     #[test]
     fn open_delta_close_round_trip() {
-        let reg = SessionRegistry::new();
-        let opened = reg.open(&open_req(BASE));
+        let reg: SessionRegistry<()> = SessionRegistry::new();
+        let opened = call(&reg, "open", &open_req(BASE));
         assert_eq!(opened.get("ok").and_then(Json::as_bool), Some(true));
         let sid = opened.get("session").and_then(Json::as_u64).unwrap();
         assert_eq!(reg.len(), 1);
@@ -238,7 +357,7 @@ mod tests {
             .field("session", sid)
             .field("add", vec![Json::from("(b,c)")])
             .field("remove", vec![Json::from("a>c")]);
-        let applied = reg.delta(&delta);
+        let applied = call(&reg, "delta", &delta);
         assert_eq!(applied.get("ok").and_then(Json::as_bool), Some(true));
         let reuse = applied.get("reuse").unwrap();
         assert_eq!(reuse.get("incremental").and_then(Json::as_bool), Some(true));
@@ -251,22 +370,72 @@ mod tests {
         assert_eq!(applied.get("codes"), fresh.get("codes"));
         assert_eq!(applied.get("width"), fresh.get("width"));
 
-        let closed = reg.close(&Json::obj().field("op", "close").field("session", sid));
+        let close = Json::obj().field("op", "close").field("session", sid);
+        let closed = call(&reg, "close", &close);
         assert_eq!(closed.get("closed").and_then(Json::as_bool), Some(true));
-        assert!(reg.is_empty());
-        let gone = reg.delta(&Json::obj().field("session", sid));
+        assert_eq!(reg.len(), 0);
+        let gone = call(&reg, "delta", &Json::obj().field("session", sid));
         assert_eq!(gone.get("ok").and_then(Json::as_bool), Some(false));
     }
 
     #[test]
+    fn lanes_run_in_arrival_order_with_ids_fixed_at_admission() {
+        let reg: SessionRegistry<u64> = SessionRegistry::new();
+        let mut lanes = Vec::new();
+        let mut admit = |tag: u64, op: &str, req: Json| {
+            reg.admit(op, &req, tag, |l| {
+                lanes.push(l);
+                Ok(())
+            })
+        };
+        let delta = |sid: u64, line: &str| {
+            Json::obj()
+                .field("session", sid)
+                .field("add", vec![Json::from(line)])
+        };
+        // Nothing runs until the lanes do: ids and the live count are
+        // decided by admission order alone.
+        admit(1, "open", open_req(BASE)).unwrap();
+        admit(2, "open", open_req(BASE)).unwrap();
+        admit(3, "delta", delta(1, "(b,c)")).unwrap();
+        admit(4, "delta", delta(2, "(a,d)")).unwrap();
+        admit(5, "close", Json::obj().field("session", 1u64)).unwrap();
+        let late = admit(6, "delta", delta(1, "(a,c)")).unwrap_err();
+        assert!(late.render().contains("no open session 1"), "{late:?}");
+        // A refused operation is withdrawn and consumes no id.
+        let refused = reg.admit("open", &open_req(BASE), 7, |_| Err(Json::from("full")));
+        assert_eq!(refused.unwrap_err(), Json::from("full"));
+        assert_eq!(reg.len(), 1);
+
+        let mut answers = Vec::new();
+        for lane in &lanes {
+            lane.run(|tag, a| answers.push((tag, a)));
+        }
+        let order: Vec<u64> = answers.iter().map(|(t, _)| *t).collect();
+        assert_eq!(order, [1, 3, 5, 2, 4], "each lane runs in arrival order");
+        let sid = |tag: u64| {
+            answers
+                .iter()
+                .find(|(t, _)| *t == tag)
+                .and_then(|(_, a)| a.get("session").and_then(Json::as_u64))
+        };
+        assert_eq!((sid(1), sid(3), sid(5)), (Some(1), Some(1), Some(1)));
+        assert_eq!((sid(2), sid(4)), (Some(2), Some(2)));
+        let opened = call(&reg, "open", &open_req(BASE));
+        assert_eq!(opened.get("session").and_then(Json::as_u64), Some(3));
+    }
+
+    #[test]
     fn open_survives_an_infeasible_set_for_repair() {
-        let reg = SessionRegistry::new();
+        let reg: SessionRegistry<()> = SessionRegistry::new();
         let bad = "symbols: a b\na>b\nb>a\n";
-        let opened = reg.open(&open_req(bad));
+        let opened = call(&reg, "open", &open_req(bad));
         assert_eq!(opened.get("ok").and_then(Json::as_bool), Some(false));
         let sid = opened.get("session").and_then(Json::as_u64).unwrap();
         assert_eq!(reg.len(), 1, "failed open still creates the session");
-        let repaired = reg.delta(
+        let repaired = call(
+            &reg,
+            "delta",
             &Json::obj()
                 .field("session", sid)
                 .field("remove", vec![Json::from("b>a")]),
@@ -280,8 +449,8 @@ mod tests {
 
     #[test]
     fn malformed_deltas_are_typed_and_leave_the_session_alone() {
-        let reg = SessionRegistry::new();
-        let opened = reg.open(&open_req(BASE));
+        let reg: SessionRegistry<()> = SessionRegistry::new();
+        let opened = call(&reg, "open", &open_req(BASE));
         let sid = opened.get("session").and_then(Json::as_u64).unwrap();
         for bad in [
             Json::obj()
@@ -292,7 +461,7 @@ mod tests {
                 .field("remove", vec![Json::from("(z,q)")]),
             Json::obj().field("add", vec![Json::from("(a,b)")]),
         ] {
-            let r = reg.delta(&bad);
+            let r = call(&reg, "delta", &bad);
             assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false), "{r:?}");
             assert_eq!(
                 r.get("error")
@@ -303,16 +472,16 @@ mod tests {
             );
         }
         // The session still answers an empty delta with the base solve.
-        let ok = reg.delta(&Json::obj().field("session", sid));
+        let ok = call(&reg, "delta", &Json::obj().field("session", sid));
         assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
     }
 
     #[test]
     fn deadline_sessions_never_go_incremental() {
-        let reg = SessionRegistry::new();
+        let reg: SessionRegistry<()> = SessionRegistry::new();
         let mut req = open_req(BASE);
         req = req.field("deadline_ms", 60_000u64);
-        let opened = reg.open(&req);
+        let opened = call(&reg, "open", &req);
         assert_eq!(opened.get("ok").and_then(Json::as_bool), Some(true));
         let sid = opened.get("session").and_then(Json::as_u64).unwrap();
         assert_eq!(
@@ -323,7 +492,9 @@ mod tests {
             Some(false),
             "deadline-budgeted solve must not build incremental state"
         );
-        let applied = reg.delta(
+        let applied = call(
+            &reg,
+            "delta",
             &Json::obj()
                 .field("session", sid)
                 .field("add", vec![Json::from("(b,c)")]),

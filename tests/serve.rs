@@ -236,6 +236,10 @@ fn serve_replays_ids_verbatim_and_types_bad_requests() {
 /// byte-identical `codes` to a from-scratch `open` of the edited text
 /// (sessions solve the caller's set directly; that is the incremental ≡
 /// from-scratch gate), and must agree with one-shot `encode` on width.
+/// Two sessions' operations, interleaved and pipelined on one stream,
+/// must get the replies of a run that waits for each reply before
+/// sending the next request: the same session ids, in request order,
+/// the same bytes, and the same `stats` session counts.
 #[test]
 fn serve_sessions_match_from_scratch_opens() {
     let base = "symbols: a b c d e\n(a,b)\n(c,d)\n(b,c,e)\na>c\n";
@@ -246,24 +250,84 @@ fn serve_sessions_match_from_scratch_opens() {
             json_escape(text)
         )
     };
+    let script = [
+        encode_request(1, edited),
+        open_req(2, base),
+        open_req(3, edited),
+        "{\"id\":4,\"op\":\"delta\",\"session\":1,\"add\":[\"(d,e)\"],\"remove\":[\"a>c\"]}"
+            .to_string(),
+        "{\"id\":5,\"op\":\"delta\",\"session\":2,\"add\":[\"(a,e)\"]}".to_string(),
+        "{\"id\":6,\"op\":\"stats\"}".to_string(),
+        "{\"id\":7,\"op\":\"delta\",\"session\":1,\"add\":[\"b>d\"]}".to_string(),
+        "{\"id\":8,\"op\":\"close\",\"session\":1}".to_string(),
+        "{\"id\":9,\"op\":\"stats\"}".to_string(),
+        "{\"id\":10,\"op\":\"close\",\"session\":2}".to_string(),
+        "{\"id\":11,\"op\":\"stats\"}".to_string(),
+    ];
+    let stats_ids = [6, 9, 11];
+
     let mut server = Server::spawn(&["--workers", "2"]);
-    server.send(&encode_request(1, edited));
-    server.send(&open_req(2, base));
-    server.send(&open_req(3, edited));
+    let mut sequential: HashMap<usize, String> = HashMap::new();
+    for line in &script {
+        server.send(line);
+        let reply = server.recv();
+        let (id, result) = split_response(&reply);
+        sequential.insert(id, result.to_string());
+    }
+    server.shutdown();
+
+    let mut server = Server::spawn(&["--workers", "2"]);
+    for line in &script {
+        server.send(line);
+    }
     let mut got: HashMap<usize, String> = HashMap::new();
-    while got.len() < 3 {
+    while got.len() < script.len() {
         let line = server.recv();
         let (id, result) = split_response(&line);
-        got.insert(id, result.to_string());
+        assert!(got.insert(id, result.to_string()).is_none(), "dup id {id}");
     }
-    let session_of = |result: &str| -> u64 {
+    server.shutdown();
+
+    let field_of = |result: &str, name: &str| -> String {
         result
-            .split("\"session\":")
+            .split(&format!("\"{name}\":"))
             .nth(1)
             .and_then(|s| s.split([',', '}']).next())
-            .and_then(|s| s.parse().ok())
-            .expect("session id")
+            .map(str::to_string)
+            .unwrap_or_else(|| panic!("no {name} in {result}"))
     };
+    for (id, sid) in [
+        (2, "1"),
+        (3, "2"),
+        (4, "1"),
+        (5, "2"),
+        (7, "1"),
+        (8, "1"),
+        (10, "2"),
+    ] {
+        assert_eq!(field_of(&got[&id], "session"), sid, "request {id}");
+    }
+    for id in 1..=script.len() {
+        if stats_ids.contains(&id) {
+            // Queue counters depend on timing; the session count does not.
+            assert_eq!(
+                field_of(&got[&id], "sessions"),
+                field_of(&sequential[&id], "sessions"),
+                "stats {id}"
+            );
+        } else {
+            assert_eq!(
+                got[&id], sequential[&id],
+                "request {id}: pipelined vs sequential"
+            );
+        }
+    }
+    let live: Vec<String> = stats_ids
+        .iter()
+        .map(|id| field_of(&got[id], "sessions"))
+        .collect();
+    assert_eq!(live, ["2", "1", "0"]);
+
     let codes_of = |result: &str| {
         result
             .split("\"codes\":")
@@ -272,44 +336,27 @@ fn serve_sessions_match_from_scratch_opens() {
             .map(str::to_string)
             .expect("codes array")
     };
-    let base_session = session_of(&got[&2]);
-
-    server.send(&format!(
-        "{{\"id\":4,\"op\":\"delta\",\"session\":{base_session},\"add\":[\"(d,e)\"],\"remove\":[\"a>c\"]}}"
-    ));
-    let line = server.recv();
-    let (id, result) = split_response(line.trim_end());
-    assert_eq!(id, 4);
     assert!(
-        result.contains("\"incremental\":true"),
-        "delta did not reuse: {result}"
+        got[&4].contains("\"incremental\":true"),
+        "delta did not reuse: {}",
+        got[&4]
     );
     // Incremental delta ≡ from-scratch open of the edited text, byte for
     // byte in the codes.
-    assert_eq!(codes_of(result), codes_of(&got[&3]), "delta vs fresh open");
-    // And the minimum width agrees with the one-shot encode pipeline.
-    let width_of = |result: &str| {
-        result
-            .split("\"width\":")
-            .nth(1)
-            .and_then(|s| s.split(',').next())
-            .map(str::to_string)
-            .expect("width")
-    };
     assert_eq!(
-        width_of(result),
-        width_of(&got[&1]),
+        codes_of(&got[&4]),
+        codes_of(&got[&3]),
+        "delta vs fresh open"
+    );
+    // And the minimum width agrees with the one-shot encode pipeline.
+    assert_eq!(
+        field_of(&got[&4], "width"),
+        field_of(&got[&1], "width"),
         "delta vs encode width"
     );
-
-    for (rid, sid) in [(5usize, base_session), (6, session_of(&got[&3]))] {
-        server.send(&format!(
-            "{{\"id\":{rid},\"op\":\"close\",\"session\":{sid}}}"
-        ));
-        let line = server.recv();
-        assert!(line.contains("\"closed\":true"), "{line}");
+    for id in [8, 10] {
+        assert!(got[&id].contains("\"closed\":true"), "{}", got[&id]);
     }
-    server.shutdown();
 }
 
 #[test]
