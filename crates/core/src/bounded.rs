@@ -7,7 +7,7 @@
 use crate::budget::{Budget, BudgetPhase, BudgetScope, BudgetSpent};
 use crate::cost::{cost_of_with, CostFunction};
 use crate::stats::SolverStats;
-use crate::{ConstraintSet, Dichotomy, EncodeError, Encoding};
+use crate::{ConstraintSet, EncodeError, Encoding};
 use ioenc_cover::Parallelism;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -174,15 +174,9 @@ pub fn bounded_exact_encode_report(
 
     // All 2^(n-1) − 1 distinct encoding-dichotomies (symbol 0 pinned to
     // the left block; for input-type cost functions orientation is
-    // immaterial).
-    let mut candidates: Vec<Dichotomy> = Vec::new();
-    for mask in 1u64..(1 << (n - 1)) {
-        let right: Vec<usize> = (1..n).filter(|&s| mask >> (s - 1) & 1 == 1).collect();
-        let left: Vec<usize> = (0..n)
-            .filter(|&s| s == 0 || mask >> (s - 1) & 1 == 0)
-            .collect();
-        candidates.push(Dichotomy::from_blocks(n, left, right));
-    }
+    // immaterial), each as its column: bit s is the code bit it gives
+    // symbol s, 1 for the right block.
+    let candidates: Vec<u64> = (1u64..1 << (n - 1)).map(|mask| mask << 1).collect();
 
     // Selection-space size check: C(|candidates|, c).
     let mut selections = 1u64;
@@ -227,8 +221,8 @@ pub fn bounded_exact_encode_report(
     let mut stopped = false;
     if threads <= 1 {
         let mut out = BranchOut::default();
-        let mut chosen = Vec::with_capacity(c);
-        enumerate(&ctx, 0, &mut chosen, &mut out);
+        let mut codes = vec![0; n];
+        enumerate(&ctx, 0, 0, &mut codes, &mut out);
         best = out.best;
         stats.evals = out.evals;
         stats.espresso_iters = out.espresso_iters;
@@ -245,8 +239,9 @@ pub fn bounded_exact_encode_report(
                         break;
                     }
                     let mut out = BranchOut::default();
-                    let mut chosen = vec![i];
-                    enumerate(&ctx, i + 1, &mut chosen, &mut out);
+                    let mut codes = vec![0; n];
+                    set_code_bit(&mut codes, candidates[i], 0);
+                    enumerate(&ctx, i + 1, 1, &mut codes, &mut out);
                     *results[i]
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(out);
@@ -292,7 +287,8 @@ pub fn bounded_exact_encode_report(
 
 struct EnumCtx<'a> {
     cs: &'a ConstraintSet,
-    candidates: &'a [Dichotomy],
+    /// Candidate columns as symbol masks.
+    candidates: &'a [u64],
     c: usize,
     cost: CostFunction,
     max_espresso_iters: Option<u64>,
@@ -310,22 +306,37 @@ struct BranchOut {
     stopped: bool,
 }
 
-fn enumerate(ctx: &EnumCtx<'_>, start: usize, chosen: &mut Vec<usize>, out: &mut BranchOut) {
-    if chosen.len() == ctx.c {
+/// Sets code bit `k` of every symbol to its bit in a column `mask`.
+fn set_code_bit(codes: &mut [u64], mask: u64, k: usize) {
+    for (s, code) in codes.iter_mut().enumerate() {
+        *code = *code & !(1 << k) | (mask >> s & 1) << k;
+    }
+}
+
+/// Visits every selection of `ctx.c` candidates, in lexicographic order,
+/// that extends the `depth` already chosen with candidates from `start`
+/// on. `codes` holds each symbol's code over the chosen columns: bit `k`
+/// is written when the `k`th candidate is chosen, so the low `depth` bits
+/// are always current and no leaf rebuilds them.
+fn enumerate(
+    ctx: &EnumCtx<'_>,
+    start: usize,
+    depth: usize,
+    codes: &mut [u64],
+    out: &mut BranchOut,
+) {
+    if depth == ctx.c {
         // One interrupt check per leaf is cheap next to a cost evaluation.
         if ctx.stop.load(Ordering::Relaxed) || ctx.scope.interrupted() {
             ctx.stop.store(true, Ordering::Relaxed);
             out.stopped = true;
             return;
         }
-        let cols: Vec<Dichotomy> = chosen.iter().map(|&i| ctx.candidates[i].clone()).collect();
-        let enc = Encoding::from_columns(ctx.cs.num_symbols(), &cols);
-        // Injectivity first.
-        let mut codes = enc.codes().to_vec();
-        codes.sort_unstable();
-        if codes.windows(2).any(|w| w[0] == w[1]) {
+        // Injectivity first; only injective leaves build an encoding.
+        if (1..codes.len()).any(|i| codes[..i].contains(&codes[i])) {
             return;
         }
+        let enc = Encoding::new(ctx.c, codes.to_vec());
         let (value, iters) = cost_of_with(ctx.cs, &enc, ctx.cost, ctx.max_espresso_iters);
         out.evals += 1;
         out.espresso_iters += iters;
@@ -334,11 +345,10 @@ fn enumerate(ctx: &EnumCtx<'_>, start: usize, chosen: &mut Vec<usize>, out: &mut
         }
         return;
     }
-    let remaining = ctx.c - chosen.len();
+    let remaining = ctx.c - depth;
     for i in start..=(ctx.candidates.len().saturating_sub(remaining)) {
-        chosen.push(i);
-        enumerate(ctx, i + 1, chosen, out);
-        chosen.pop();
+        set_code_bit(codes, ctx.candidates[i], depth);
+        enumerate(ctx, i + 1, depth + 1, codes, out);
         if out.stopped {
             return;
         }

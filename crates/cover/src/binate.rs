@@ -55,13 +55,6 @@ const TASK_TARGET: usize = 32;
 /// Nodes the root expansion may pop before giving up on the target.
 const EXPANSION_BUDGET: u64 = 256;
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Assign {
-    Open,
-    Selected,
-    Rejected,
-}
-
 impl BinateProblem {
     /// A problem with `num_cols` unit-weight columns.
     pub fn new(num_cols: usize) -> Self {
@@ -124,12 +117,14 @@ impl BinateProblem {
         self.work_budget = budget;
     }
 
-    /// Installs a cooperative cancellation token, checked every 256 nodes.
+    /// Installs a cooperative cancellation token, checked every 16 nodes
+    /// of each worker.
     pub fn set_cancel(&mut self, cancel: Option<CancelToken>) {
         self.cancel = cancel;
     }
 
-    /// Installs a wall-clock deadline, checked every 256 nodes.
+    /// Installs a wall-clock deadline, checked every 16 nodes
+    /// of each worker.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;
     }
@@ -179,7 +174,8 @@ impl BinateProblem {
 
         // Phase 1: deterministic breadth-first decomposition.
         let root = BNode {
-            assign: vec![Assign::Open; self.num_cols],
+            selected: BitSet::new(self.num_cols),
+            rejected: BitSet::new(self.num_cols),
             seq: 0,
         };
         let mut bound = u64::MAX;
@@ -263,6 +259,7 @@ impl BinateProblem {
     ) -> Result<Vec<BNode>, ()> {
         let mut queue: VecDeque<BNode> = VecDeque::from([root]);
         let mut next_seq = 1u64;
+        let mut used = Vec::new();
         let expansion_cap = EXPANSION_BUDGET.min(node_limit);
         while queue.len() < TASK_TARGET && stats.nodes < expansion_cap {
             let Some(mut node) = queue.pop_front() else {
@@ -272,20 +269,18 @@ impl BinateProblem {
                 return Err(());
             }
             stats.nodes += 1;
-            match self.reduce_node(&mut node, *bound, &mut stats.prunes) {
+            match self.reduce_node(&mut node, *bound, &mut stats.prunes, &mut used) {
                 BReduced::Solved(cost, cols) => {
                     *bound = (*bound).min(cost);
                     solved.push((cost, cols, node.seq));
                 }
                 BReduced::Conflict | BReduced::Pruned => {}
                 BReduced::Open(col, prefer_select) => {
-                    for assign in branch_order(prefer_select) {
-                        let mut sub = node.assign.clone();
-                        sub[col] = assign;
-                        queue.push_back(BNode {
-                            assign: sub,
-                            seq: next_seq,
-                        });
+                    for select in branch_order(prefer_select) {
+                        let mut sub = node.clone();
+                        sub.fix(col, select);
+                        sub.seq = next_seq;
+                        queue.push_back(sub);
                         next_seq += 1;
                     }
                 }
@@ -309,20 +304,27 @@ impl BinateProblem {
             .map(|_| Mutex::new(BTaskResult::default()))
             .collect();
         let next = AtomicUsize::new(0);
-        let worker = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(task) = tasks.get(i) else { break };
+        let worker = || {
+            // One context per worker, so the interrupt tick count runs
+            // across the worker's whole task sequence.
             let mut ctx = BTaskCtx {
                 shared_bound,
                 fixed_bound,
                 result: BTaskResult::default(),
                 budget,
                 interrupt,
+                ticks: 0,
+                used: Vec::new(),
             };
-            self.dfs(task.clone(), &mut ctx);
-            *results[i]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = ctx.result;
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(task) = tasks.get(i) else { break };
+                self.dfs(task.clone(), &mut ctx);
+                *results[i]
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner) =
+                    std::mem::take(&mut ctx.result);
+            }
         };
         let workers = threads.min(tasks.len().max(1));
         if workers <= 1 {
@@ -349,10 +351,11 @@ impl BinateProblem {
             ctx.result.exhausted = true;
             return;
         }
-        if ctx.interrupt.check(ctx.result.nodes) {
+        if ctx.interrupt.check(ctx.ticks) {
             ctx.result.interrupted = true;
             return;
         }
+        ctx.ticks += 1;
         // Strict pruning against the shared bound is schedule-safe; the
         // task's own best additionally prunes at `>=` — it evolves inside
         // this task only, so the first minimal-cost solution in the task's
@@ -365,13 +368,13 @@ impl BinateProblem {
         };
         let local = ctx.result.best.as_ref().map_or(u64::MAX, |(c, _)| *c);
         let bound = shared.min(local.saturating_sub(1));
-        match self.reduce_node(&mut node, bound, &mut ctx.result.prunes) {
+        match self.reduce_node(&mut node, bound, &mut ctx.result.prunes, &mut ctx.used) {
             BReduced::Solved(cost, cols) => ctx.record(cost, cols),
             BReduced::Conflict | BReduced::Pruned => {}
             BReduced::Open(col, prefer_select) => {
-                for assign in branch_order(prefer_select) {
+                for select in branch_order(prefer_select) {
                     let mut sub = node.clone();
-                    sub.assign[col] = assign;
+                    sub.fix(col, select);
                     self.dfs(sub, ctx);
                     if ctx.result.exhausted || ctx.result.interrupted {
                         return;
@@ -384,18 +387,21 @@ impl BinateProblem {
     /// Unit propagation to fixpoint, conflict detection, and the strict
     /// bound tests. An `Open` outcome names the branching literal: the
     /// first open literal (negative preferred) of the first open clause.
-    fn reduce_node(&self, node: &mut BNode, bound: u64, prunes: &mut u64) -> BReduced {
+    /// `used` is the caller's scratch for [`lower_bound`](Self::lower_bound).
+    fn reduce_node(
+        &self,
+        node: &mut BNode,
+        bound: u64,
+        prunes: &mut u64,
+        used: &mut Vec<u64>,
+    ) -> BReduced {
         loop {
             let mut changed = false;
             for clause in &self.clauses {
-                match clause_state(clause, &node.assign) {
+                match clause_state(clause, node) {
                     ClauseState::Conflict => return BReduced::Conflict,
-                    ClauseState::Unit(c, true) => {
-                        node.assign[c] = Assign::Selected;
-                        changed = true;
-                    }
-                    ClauseState::Unit(c, false) => {
-                        node.assign[c] = Assign::Rejected;
+                    ClauseState::Unit(c, select) => {
+                        node.fix(c, select);
                         changed = true;
                     }
                     _ => {}
@@ -405,108 +411,115 @@ impl BinateProblem {
                 break;
             }
         }
-        let cost = self.current_cost(&node.assign);
+        let mut cost = 0u64;
+        node.selected
+            .for_each_set(|c| cost += self.weights[c] as u64);
         // Strict pruning: subtrees matching the bound survive, which keeps
         // per-task results schedule-independent (see the crate docs).
-        if cost.saturating_add(self.lower_bound(&node.assign)) > bound {
+        if cost.saturating_add(self.lower_bound(node, used)) > bound {
             *prunes += 1;
             return BReduced::Pruned;
         }
         let open_clause = self
             .clauses
             .iter()
-            .find(|cl| matches!(clause_state(cl, &node.assign), ClauseState::Open));
+            .find(|cl| matches!(clause_state(cl, node), ClauseState::Open));
         let Some(clause) = open_clause else {
             // Feasible: reject all remaining open columns (they only cost).
-            let cols: Vec<usize> = node
-                .assign
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| **a == Assign::Selected)
-                .map(|(c, _)| c)
-                .collect();
-            return BReduced::Solved(cost, cols);
+            return BReduced::Solved(cost, node.selected.iter().collect());
         };
         // Branch on an open literal of the chosen clause: prefer a negative
         // literal (rejection is free). A clause classified Open always has
         // one; if not (impossible), Conflict is the sound answer.
-        clause
-            .neg
-            .iter()
-            .find(|&c| node.assign[c] == Assign::Open)
+        let open = |lits: &BitSet| {
+            open_words(lits, node)
+                .enumerate()
+                .find(|&(_, w)| w != 0)
+                .map(|(i, w)| i * 64 + w.trailing_zeros() as usize)
+        };
+        open(&clause.neg)
             .map(|c| (c, false))
-            .or_else(|| {
-                clause
-                    .pos
-                    .iter()
-                    .find(|&c| node.assign[c] == Assign::Open)
-                    .map(|c| (c, true))
-            })
+            .or_else(|| open(&clause.pos).map(|c| (c, true)))
             .map_or(BReduced::Conflict, |(col, prefer_select)| {
                 BReduced::Open(col, prefer_select)
             })
     }
 
-    fn current_cost(&self, assign: &[Assign]) -> u64 {
-        assign
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| **a == Assign::Selected)
-            .map(|(c, _)| self.weights[c] as u64)
-            .sum()
-    }
-
     /// Lower bound: greedy disjoint set of unsatisfied clauses whose open
     /// literals are all positive — each needs a distinct selection.
-    fn lower_bound(&self, assign: &[Assign]) -> u64 {
-        let mut used = BitSet::new(self.num_cols);
+    /// `used` (the open columns claimed so far) is caller scratch, so the
+    /// bound allocates nothing once it has grown to the column words.
+    fn lower_bound(&self, node: &BNode, used: &mut Vec<u64>) -> u64 {
+        let (sel, rej) = (node.selected.as_words(), node.rejected.as_words());
+        used.clear();
+        used.resize(sel.len(), 0);
         let mut bound = 0u64;
-        for clause in &self.clauses {
-            if !matches!(
-                clause_state(clause, assign),
-                ClauseState::Open | ClauseState::Unit(..)
-            ) {
+        'clauses: for clause in &self.clauses {
+            let (pos, neg) = (clause.pos.as_words(), clause.neg.as_words());
+            // Only an unsatisfied clause with no open negative literal
+            // forces a selection, and it joins the bound only when its
+            // open positive literals avoid every claimed column.
+            let mut any_open = false;
+            for w in 0..pos.len() {
+                let open = !(sel[w] | rej[w]);
+                let open_pos = pos[w] & open;
+                if pos[w] & sel[w] != 0 || neg[w] & (rej[w] | open) != 0 || open_pos & used[w] != 0
+                {
+                    continue 'clauses;
+                }
+                any_open |= open_pos != 0;
+            }
+            if !any_open {
                 continue;
             }
-            // Only clauses with no open negative literal force a selection.
-            let neg_open = clause.neg.iter().any(|c| assign[c] == Assign::Open);
-            if neg_open {
-                continue;
+            let mut min_w = u64::MAX;
+            for (w, open_pos) in open_words(&clause.pos, node).enumerate() {
+                used[w] |= open_pos;
+                let mut bits = open_pos;
+                while bits != 0 {
+                    let c = w * 64 + bits.trailing_zeros() as usize;
+                    min_w = min_w.min(self.weights[c] as u64);
+                    bits &= bits - 1;
+                }
             }
-            let open_pos: Vec<usize> = clause
-                .pos
-                .iter()
-                .filter(|&c| assign[c] == Assign::Open)
-                .collect();
-            if open_pos.is_empty() || open_pos.iter().any(|&c| used.contains(c)) {
-                continue;
-            }
-            for &c in &open_pos {
-                used.insert(c);
-            }
-            bound += open_pos
-                .iter()
-                .map(|&c| self.weights[c] as u64)
-                .min()
-                .unwrap_or(0);
+            bound += min_w;
         }
         bound
     }
 }
 
-fn branch_order(prefer_select: bool) -> [Assign; 2] {
-    if prefer_select {
-        [Assign::Selected, Assign::Rejected]
-    } else {
-        [Assign::Rejected, Assign::Selected]
+/// The two values of a branching column, `true` = select, in search order.
+fn branch_order(prefer_select: bool) -> [bool; 2] {
+    [prefer_select, !prefer_select]
+}
+
+/// A subproblem: a partial assignment plus its creation order. A column
+/// is in at most one of the two sets; in neither, it is still open.
+#[derive(Debug, Clone)]
+struct BNode {
+    selected: BitSet,
+    rejected: BitSet,
+    seq: u64,
+}
+
+impl BNode {
+    /// Fixes an open column to selected (`true`) or rejected.
+    fn fix(&mut self, col: usize, select: bool) {
+        if select {
+            self.selected.insert(col);
+        } else {
+            self.rejected.insert(col);
+        }
     }
 }
 
-/// A subproblem: a partial assignment plus its creation order.
-#[derive(Debug, Clone)]
-struct BNode {
-    assign: Vec<Assign>,
-    seq: u64,
+/// The words of `lits` restricted to the node's open columns.
+fn open_words<'a>(lits: &'a BitSet, node: &'a BNode) -> impl Iterator<Item = u64> + 'a {
+    let (sel, rej) = (node.selected.as_words(), node.rejected.as_words());
+    lits.as_words()
+        .iter()
+        .zip(sel.iter().zip(rej))
+        .map(|(l, (s, r))| l & !(s | r))
 }
 
 enum BReduced {
@@ -533,6 +546,10 @@ struct BTaskCtx<'a> {
     result: BTaskResult,
     budget: u64,
     interrupt: &'a Interrupt,
+    /// Nodes this worker has visited over all its tasks (interrupt stride).
+    ticks: u64,
+    /// Lower-bound scratch (see [`BinateProblem::lower_bound`]).
+    used: Vec<u64>,
 }
 
 impl BTaskCtx<'_> {
@@ -555,35 +572,34 @@ enum ClauseState {
     Open,
 }
 
-fn clause_state(clause: &Clause, assign: &[Assign]) -> ClauseState {
-    let mut open: Option<(usize, bool)> = None;
+/// Classifies a clause under the node's partial assignment with word
+/// operations: satisfied by a selected positive or a rejected negative
+/// literal, else by how many literals are still open.
+fn clause_state(clause: &Clause, node: &BNode) -> ClauseState {
+    let (pos, neg) = (clause.pos.as_words(), clause.neg.as_words());
+    let (sel, rej) = (node.selected.as_words(), node.rejected.as_words());
     let mut open_count = 0;
-    for c in clause.pos.iter() {
-        match assign[c] {
-            Assign::Selected => return ClauseState::Satisfied,
-            Assign::Rejected => {}
-            Assign::Open => {
-                open = Some((c, true));
-                open_count += 1;
-            }
+    // The last open literal seen: (word, bits, is-positive).
+    let mut last = (0, 0u64, false);
+    for w in 0..pos.len() {
+        if pos[w] & sel[w] != 0 || neg[w] & rej[w] != 0 {
+            return ClauseState::Satisfied;
         }
-    }
-    for c in clause.neg.iter() {
-        match assign[c] {
-            Assign::Rejected => return ClauseState::Satisfied,
-            Assign::Selected => {}
-            Assign::Open => {
-                open = Some((c, false));
-                open_count += 1;
-            }
+        let open = !(sel[w] | rej[w]);
+        let (open_pos, open_neg) = (pos[w] & open, neg[w] & open);
+        open_count += open_pos.count_ones() + open_neg.count_ones();
+        if open_neg != 0 {
+            last = (w, open_neg, false);
+        } else if open_pos != 0 {
+            last = (w, open_pos, true);
         }
     }
     match open_count {
         0 => ClauseState::Conflict,
-        // The counter and the witness move together, so `open` is
-        // always `Some` here; a lost witness degrades to Open (sound:
-        // the solver just branches instead of propagating).
-        1 => open.map_or(ClauseState::Open, |(c, sel)| ClauseState::Unit(c, sel)),
+        1 => {
+            let (w, bits, select) = last;
+            ClauseState::Unit(w * 64 + bits.trailing_zeros() as usize, select)
+        }
         _ => ClauseState::Open,
     }
 }

@@ -101,9 +101,16 @@ impl CancelToken {
     }
 }
 
+/// Nodes between two interrupt checks of one worker. A clock read costs
+/// a few tens of nanoseconds, a node a microsecond or more, so the checks
+/// stay negligible while a deadline is noticed within a few nodes.
+const CHECK_STRIDE: u64 = 16;
+
 /// Cooperative interruption sources (cancel token, wall-clock deadline)
-/// shared by both solvers. Checks are amortized: only every 256th node
-/// looks at the clock or the flag.
+/// shared by both solvers. Checks are amortized: the root expansion and
+/// each sweep worker count the nodes they visit (a worker across all its
+/// tasks), and only every [`CHECK_STRIDE`]th node looks at the clock or
+/// the flag.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Interrupt {
     pub(crate) cancel: Option<CancelToken>,
@@ -121,9 +128,11 @@ impl Interrupt {
             || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// Amortized per-node check: consults the sources every 256th node.
-    pub(crate) fn check(&self, nodes: u64) -> bool {
-        self.enabled() && nodes & 0xFF == 0 && self.tripped()
+    /// Amortized per-node check. `ticks` counts the nodes visited so far
+    /// by the caller (the expansion or one worker); the sources are
+    /// consulted on every [`CHECK_STRIDE`]th node, starting with the first.
+    pub(crate) fn check(&self, ticks: u64) -> bool {
+        self.enabled() && ticks.is_multiple_of(CHECK_STRIDE) && self.tripped()
     }
 }
 

@@ -147,12 +147,14 @@ impl UnateProblem {
         self.work_budget = budget;
     }
 
-    /// Installs a cooperative cancellation token, checked every 256 nodes.
+    /// Installs a cooperative cancellation token, checked every 16 nodes
+    /// of each worker.
     pub fn set_cancel(&mut self, cancel: Option<CancelToken>) {
         self.cancel = cancel;
     }
 
-    /// Installs a wall-clock deadline, checked every 256 nodes.
+    /// Installs a wall-clock deadline, checked every 16 nodes
+    /// of each worker.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;
     }
@@ -492,23 +494,26 @@ impl UnateProblem {
             .collect();
         let next = AtomicUsize::new(0);
         let worker = || {
-            // One arena per worker: scratch buffers and recycled node
-            // buffers live for the worker's whole task sequence.
+            // One arena and one context per worker: scratch buffers,
+            // recycled node buffers and the interrupt tick count live for
+            // the worker's whole task sequence.
             let mut arena = SearchArena::new(self.num_cols, self.scratch_reuse);
+            let mut ctx = TaskCtx {
+                shared_bound,
+                fixed_bound,
+                result: TaskResult::default(),
+                budget,
+                interrupt,
+                ticks: 0,
+            };
             loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(task) = tasks.get(i) else { break };
-                let mut ctx = TaskCtx {
-                    shared_bound,
-                    fixed_bound,
-                    result: TaskResult::default(),
-                    budget,
-                    interrupt,
-                };
                 self.dfs(task.clone(), &mut ctx, &mut arena);
                 *results[i]
                     .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = ctx.result;
+                    .unwrap_or_else(std::sync::PoisonError::into_inner) =
+                    std::mem::take(&mut ctx.result);
             }
         };
         let workers = threads.min(tasks.len().max(1));
@@ -538,10 +543,11 @@ impl UnateProblem {
             ctx.result.exhausted = true;
             return;
         }
-        if ctx.interrupt.check(ctx.result.nodes) {
+        if ctx.interrupt.check(ctx.ticks) {
             ctx.result.interrupted = true;
             return;
         }
+        ctx.ticks += 1;
         // Strict pruning against the shared bound is schedule-safe; the
         // task's own best additionally prunes at `>=` — it evolves inside
         // this task only, so the minimal-cost, least-path solution in the
@@ -657,6 +663,8 @@ impl UnateProblem {
             let SearchArena {
                 active,
                 col_rows,
+                col_slot,
+                dominated,
                 removed,
                 ..
             } = &mut *arena;
@@ -671,51 +679,61 @@ impl UnateProblem {
             };
             let active_count = active.count();
             if active_count <= limit {
-                // (column, rows-of-column) pairs in arena scratch; the
-                // nested BitSets are reset to this node's row count.
+                // One entry per active column, in column order, in arena
+                // scratch; the nested BitSets are reset to this node's row
+                // count. `col_slot` maps a column to its entry, so each row
+                // fills its own columns' row sets from its set bits.
                 col_rows.truncate(active_count);
-                for (c, s) in col_rows.iter_mut() {
-                    *c = 0;
-                    s.reset(node.rows.len());
+                for e in col_rows.iter_mut() {
+                    e.rows.reset(node.rows.len());
+                    e.count = 0;
                 }
                 while col_rows.len() < active_count {
-                    col_rows.push((0, BitSet::new(node.rows.len())));
+                    col_rows.push(ColRows {
+                        col: 0,
+                        rows: BitSet::new(node.rows.len()),
+                        count: 0,
+                    });
                 }
                 let mut k = 0;
                 active.for_each_set(|c| {
-                    col_rows[k].0 = c;
+                    col_rows[k].col = c;
+                    col_slot[c] = k as u32;
                     k += 1;
                 });
                 for (i, r) in node.rows.iter().enumerate() {
-                    for (c, s) in col_rows.iter_mut() {
-                        if r.contains(*c) {
-                            s.insert(i);
-                        }
-                    }
+                    r.for_each_set(|c| {
+                        let e = &mut col_rows[col_slot[c] as usize];
+                        e.rows.insert(i);
+                        e.count += 1;
+                    });
                 }
                 // Sort by descending row count so dominators come first.
-                col_rows.sort_by_key(|(_, rows)| std::cmp::Reverse(rows.count()));
-                removed.clear();
+                // The sort is stable: among equal counts, column order.
+                col_rows.sort_by_key(|e| std::cmp::Reverse(e.count));
+                dominated.clear();
+                dominated.resize(active_count, false);
+                let mut any = false;
                 for i in 0..col_rows.len() {
-                    let (ci, ref si) = col_rows[i];
-                    if removed.contains(&ci) {
+                    if dominated[i] {
                         continue;
                     }
-                    for item in col_rows.iter().skip(i + 1) {
-                        let (cj, ref sj) = *item;
-                        if removed.contains(&cj) {
-                            continue;
-                        }
-                        if sj.is_subset(si) && self.weights[ci] <= self.weights[cj] {
-                            removed.push(cj);
+                    let (wi, si) = (self.weights[col_rows[i].col], &col_rows[i].rows);
+                    for j in i + 1..col_rows.len() {
+                        let ej = &col_rows[j];
+                        if !dominated[j] && ej.rows.is_subset(si) && wi <= self.weights[ej.col] {
+                            dominated[j] = true;
+                            any = true;
                         }
                     }
                 }
-                if !removed.is_empty() {
+                if any {
+                    removed.clear();
+                    for (e, _) in col_rows.iter().zip(dominated.iter()).filter(|(_, &d)| d) {
+                        removed.insert(e.col);
+                    }
                     for row in &mut node.rows {
-                        for &c in removed.iter() {
-                            row.remove(c);
-                        }
+                        row.difference_with(removed);
                     }
                     continue;
                 }
@@ -935,14 +953,18 @@ struct SearchArena {
     children_pool: Vec<Vec<Node>>,
     /// Row-dominance keep flags.
     keep: Vec<bool>,
-    /// Column-dominance removal list.
-    removed: Vec<usize>,
+    /// Column-dominance entries, one per active column.
+    col_rows: Vec<ColRows>,
+    /// Column → index of its `col_rows` entry (capacity = problem columns).
+    col_slot: Vec<u32>,
+    /// Column-dominance flags, indexed like `col_rows`.
+    dominated: Vec<bool>,
+    /// Columns removed by column dominance (capacity = problem columns).
+    removed: BitSet,
     /// Branch columns already tried at the current node.
     excluded: Vec<usize>,
     /// Branch candidates as (coverage count, column).
     branch: Vec<(u32, u32)>,
-    /// Column-dominance (column, rows-of-column) pairs.
-    col_rows: Vec<(usize, BitSet)>,
     /// Columns still present in some row (capacity = problem columns).
     active: BitSet,
     /// MIS row visit order.
@@ -951,6 +973,14 @@ struct SearchArena {
     used: BitSet,
     /// MIS witness: (row index, cheapest column weight) per chosen row.
     witness: Vec<(u32, u64)>,
+}
+
+/// A column's entry in the column-dominance scratch: its index, the node
+/// rows it covers, and how many there are.
+struct ColRows {
+    col: usize,
+    rows: BitSet,
+    count: u32,
 }
 
 /// Recycled buffers kept per pool; beyond this they are simply dropped
@@ -967,10 +997,12 @@ impl SearchArena {
             path_pool: Vec::new(),
             children_pool: Vec::new(),
             keep: Vec::new(),
-            removed: Vec::new(),
+            col_rows: Vec::new(),
+            col_slot: vec![0; num_cols],
+            dominated: Vec::new(),
+            removed: BitSet::new(num_cols),
             excluded: Vec::new(),
             branch: Vec::new(),
-            col_rows: Vec::new(),
             active: BitSet::new(num_cols),
             order: Vec::new(),
             used: BitSet::new(num_cols),
@@ -1029,6 +1061,8 @@ struct TaskCtx<'a> {
     result: TaskResult,
     budget: u64,
     interrupt: &'a Interrupt,
+    /// Nodes this worker has visited over all its tasks (interrupt stride).
+    ticks: u64,
 }
 
 impl TaskCtx<'_> {

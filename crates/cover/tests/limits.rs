@@ -1,7 +1,9 @@
-//! Behaviour at resource limits and awkward shapes: node budgets, wide
-//! problems that skip column dominance, and duplicate columns.
+//! Behaviour at resource limits and awkward shapes: node budgets,
+//! deadlines, wide problems that skip column dominance, and duplicate
+//! columns.
 
-use ioenc_cover::{BinateProblem, SolveError, UnateProblem};
+use ioenc_cover::{BinateProblem, Parallelism, SolveError, UnateProblem};
+use std::time::{Duration, Instant};
 
 #[test]
 fn tiny_node_limit_still_returns_feasible_cover() {
@@ -84,4 +86,31 @@ fn binate_tautological_clause_is_satisfied_by_rejection() {
     let sol = p.solve_exact().unwrap();
     assert_eq!(sol.cost, 0);
     assert!(sol.columns.is_empty());
+}
+
+#[test]
+fn deadline_is_noticed_in_a_search_of_small_tasks() {
+    // A 36-column ring search of about 200 nodes whose tasks all stay
+    // far below 256 nodes, padded with 50,000 clauses that the forced
+    // column `x` satisfies: they change no node, but make every node
+    // scan them, so the search takes far longer than the deadline. A
+    // search that consulted the deadline only at the root and every
+    // 256th node of a task would never see it and would answer `Ok`.
+    let n = 36;
+    let x = n;
+    let mut p = BinateProblem::new(n + 1);
+    p.add_clause([x], []);
+    for i in 0..n {
+        p.add_clause([i, (i + 1) % n, (i + 2) % n], []);
+        p.add_clause([], [i, (i + 4) % n]);
+    }
+    for k in 0..50_000 {
+        p.add_clause([x, k % n], [k / n % n]);
+    }
+    p.set_parallelism(Parallelism::Off);
+    p.set_deadline(Some(Instant::now() + Duration::from_millis(1)));
+    match p.solve_exact_with_stats() {
+        Err(SolveError::Interrupted { .. }) => {}
+        other => panic!("the deadline was ignored: {other:?}"),
+    }
 }

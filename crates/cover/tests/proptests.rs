@@ -7,6 +7,34 @@ use ioenc_rng::SplitMix64;
 const COLS: usize = 10;
 const CASES: usize = 80;
 
+/// Where the [`COLS`] live columns of a generated case sit in the solver's
+/// problem, with its column count: packed into one word, or scattered
+/// across the 64-bit word boundaries of a 150-column problem whose other
+/// columns appear in no row or clause. Brute force stays over the live
+/// columns.
+const COLUMN_MAPS: [(usize, [usize; COLS]); 2] = [
+    (COLS, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+    (150, [0, 63, 64, 65, 100, 127, 128, 129, 140, 149]),
+];
+
+/// Spreads live-column weights over a `width`-column problem (unit weight
+/// on the dead columns).
+fn spread_weights(weights: &[u32], width: usize, map: &[usize; COLS]) -> Vec<u32> {
+    let mut wide = vec![1; width];
+    for (c, &w) in weights.iter().enumerate() {
+        wide[map[c]] = w;
+    }
+    wide
+}
+
+/// Maps solver columns back to live-column indices.
+fn unmap(columns: &[usize], map: &[usize; COLS]) -> Vec<usize> {
+    columns
+        .iter()
+        .map(|&c| map.iter().position(|&m| m == c).expect("a live column"))
+        .collect()
+}
+
 fn random_unate(rng: &mut SplitMix64) -> (Vec<u32>, Vec<Vec<usize>>) {
     let weights: Vec<u32> = (0..COLS).map(|_| rng.gen_range(1..8) as u32).collect();
     let num_rows = rng.gen_range(1..8);
@@ -38,23 +66,26 @@ fn unate_brute(weights: &[u32], rows: &[Vec<usize>]) -> u64 {
 
 #[test]
 fn unate_exact_is_optimal() {
-    let mut rng = SplitMix64::new(0xc0);
-    for _ in 0..CASES {
-        let (weights, rows) = random_unate(&mut rng);
-        let mut p = UnateProblem::with_weights(weights.clone());
-        for r in &rows {
-            p.add_row(r.iter().copied());
+    for (width, map) in &COLUMN_MAPS {
+        let mut rng = SplitMix64::new(0xc0);
+        for _ in 0..CASES {
+            let (weights, rows) = random_unate(&mut rng);
+            let mut p = UnateProblem::with_weights(spread_weights(&weights, *width, map));
+            for r in &rows {
+                p.add_row(r.iter().map(|&c| map[c]));
+            }
+            let sol = p.solve_exact().unwrap();
+            assert!(sol.optimal);
+            assert_eq!(sol.cost, unate_brute(&weights, &rows), "width {width}");
+            let columns = unmap(&sol.columns, map);
+            // And the returned columns really cover every row.
+            for r in &rows {
+                assert!(r.iter().any(|c| columns.contains(c)));
+            }
+            // Cost is consistent with the selected columns.
+            let recomputed: u64 = columns.iter().map(|&c| weights[c] as u64).sum();
+            assert_eq!(sol.cost, recomputed);
         }
-        let sol = p.solve_exact().unwrap();
-        assert!(sol.optimal);
-        assert_eq!(sol.cost, unate_brute(&weights, &rows));
-        // And the returned columns really cover every row.
-        for r in &rows {
-            assert!(r.iter().any(|c| sol.columns.contains(c)));
-        }
-        // Cost is consistent with the selected columns.
-        let recomputed: u64 = sol.columns.iter().map(|&c| weights[c] as u64).sum();
-        assert_eq!(sol.cost, recomputed);
     }
 }
 
@@ -199,27 +230,30 @@ fn binate_brute(weights: &[u32], clauses: &[(Vec<usize>, Vec<usize>)]) -> Option
 
 #[test]
 fn binate_exact_matches_brute_force() {
-    let mut rng = SplitMix64::new(0xc2);
-    for _ in 0..CASES {
-        let (weights, clauses) = random_binate(&mut rng);
-        let mut p = BinateProblem::with_weights(weights.clone());
-        for (pos, neg) in &clauses {
-            p.add_clause(pos.iter().copied(), neg.iter().copied());
-        }
-        let best = binate_brute(&weights, &clauses);
-        match p.solve_exact() {
-            Ok(sol) => {
-                assert!(sol.optimal);
-                assert_eq!(Some(sol.cost), best);
-                // Verify the returned assignment.
-                for (pos, neg) in &clauses {
-                    let ok = pos.iter().any(|c| sol.columns.contains(c))
-                        || neg.iter().any(|c| !sol.columns.contains(c));
-                    assert!(ok);
-                }
+    for (width, map) in &COLUMN_MAPS {
+        let mut rng = SplitMix64::new(0xc2);
+        for _ in 0..CASES {
+            let (weights, clauses) = random_binate(&mut rng);
+            let mut p = BinateProblem::with_weights(spread_weights(&weights, *width, map));
+            for (pos, neg) in &clauses {
+                p.add_clause(pos.iter().map(|&c| map[c]), neg.iter().map(|&c| map[c]));
             }
-            Err(SolveError::Infeasible) => assert_eq!(best, None),
-            Err(e) => panic!("unexpected error {e:?}"),
+            let best = binate_brute(&weights, &clauses);
+            match p.solve_exact() {
+                Ok(sol) => {
+                    assert!(sol.optimal);
+                    assert_eq!(Some(sol.cost), best, "width {width}");
+                    // Verify the returned assignment.
+                    let columns = unmap(&sol.columns, map);
+                    for (pos, neg) in &clauses {
+                        let ok = pos.iter().any(|c| columns.contains(c))
+                            || neg.iter().any(|c| !columns.contains(c));
+                        assert!(ok);
+                    }
+                }
+                Err(SolveError::Infeasible) => assert_eq!(best, None),
+                Err(e) => panic!("unexpected error {e:?}"),
+            }
         }
     }
 }

@@ -268,6 +268,41 @@ fn auto_stdout_is_byte_identical_across_thread_counts() {
     );
 }
 
+/// `encode --auto --max-nodes 2000 --json` on the sets in
+/// `tests/fixtures/cover/`, pinned byte for byte, work counters included.
+/// Together they reach the unate exact rung running out of nodes, an
+/// exact optimum, and binate covers answered by the bounded rung, some
+/// over more than 64 columns. A strict work budget makes the counters
+/// independent of the thread count, which comes from `IOENC_TEST_THREADS`
+/// (`off`, `auto` or a number; default `auto`).
+#[test]
+fn budgeted_auto_answers_match_pinned_bytes() {
+    let threads = std::env::var("IOENC_TEST_THREADS").unwrap_or_else(|_| "auto".to_string());
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/cover");
+    let mut sets: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
+        .expect("fixture directory")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "txt"))
+        .collect();
+    sets.sort();
+    assert_eq!(sets.len(), 6, "{sets:?}");
+    for set in &sets {
+        let want = std::fs::read_to_string(set.with_extension("json")).expect("pinned answer");
+        let (code, stdout, stderr) = run_code(&[
+            "encode",
+            set.to_str().unwrap(),
+            "--auto",
+            "--max-nodes",
+            "2000",
+            "--json",
+            "--threads",
+            &threads,
+        ]);
+        assert_eq!(code, Some(0), "{}: {stderr}", set.display());
+        assert_eq!(stdout, want, "{}", set.display());
+    }
+}
+
 #[test]
 fn exit_codes_are_consistent_per_error_class() {
     let parse = write_temp("exit-parse", "(a,b)\n"); // missing symbols: header
