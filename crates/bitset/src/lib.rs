@@ -320,6 +320,27 @@ impl BitSet {
         kernels::difference(&mut self.words, &other.words);
     }
 
+    /// In-place union with the complement of `other` (`self ∪ ¬other`),
+    /// in one pass over the words.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ioenc_bitset::BitSet;
+    ///
+    /// let mut a = BitSet::from_indices(5, [0]);
+    /// a.union_with_complement(&BitSet::from_indices(5, [0, 1, 2]));
+    /// assert_eq!(a, BitSet::from_indices(5, [0, 3, 4]));
+    /// ```
+    #[inline]
+    pub fn union_with_complement(&mut self, other: &Self) {
+        self.check_same(other);
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= !*b;
+        }
+        self.trim();
+    }
+
     /// Returns the union as a new set.
     pub fn union(&self, other: &Self) -> Self {
         let mut s = self.clone();

@@ -122,6 +122,17 @@ fn check_pair(cap: usize, a: &[usize], b: &[usize]) {
     assert_eq!(sa.intersection(&sb).iter().collect::<Vec<_>>(), want_inter);
     let want_diff: Vec<usize> = ma.difference(&mb).copied().collect();
     assert_eq!(sa.difference(&sb).iter().collect::<Vec<_>>(), want_diff);
+    let want_or_not: Vec<usize> = (0..cap)
+        .filter(|i| ma.contains(i) || !mb.contains(i))
+        .collect();
+    let mut or_not = sa.clone();
+    or_not.union_with_complement(&sb);
+    assert_eq!(or_not.iter().collect::<Vec<_>>(), want_or_not);
+    assert_eq!(
+        or_not.count(),
+        want_or_not.len(),
+        "trailing bits at cap {cap}"
+    );
     assert_eq!(sa.is_subset(&sb), ma.is_subset(&mb), "subset at cap {cap}");
     assert_eq!(
         sa.is_disjoint(&sb),

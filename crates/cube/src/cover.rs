@@ -153,79 +153,28 @@ impl Cover {
 
     /// The cofactor of the cover with respect to cube `p`.
     pub fn cofactor(&self, p: &Cube) -> Cover {
-        let cubes = self
-            .cubes
-            .iter()
-            .filter_map(|c| c.cofactor(&self.spec, p))
-            .collect();
-        Cover {
-            spec: self.spec.clone(),
-            cubes,
-        }
+        Cover::cofactor_of(&self.spec, &self.cubes, p)
     }
 
-    /// Chooses the splitting variable for unate recursion: the variable
-    /// with a non-full part field in the most cubes (ties broken toward
-    /// more parts). `None` when every cube is the universe or the cover is
-    /// empty.
-    fn splitting_var(&self) -> Option<usize> {
-        let mut best: Option<(usize, usize)> = None; // (count, var)
-        for v in self.spec.vars() {
-            let count = self
-                .cubes
-                .iter()
-                .filter(|c| !c.var_is_full(&self.spec, v))
-                .count();
-            if count == 0 {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some((bc, bv)) => {
-                    count > bc || (count == bc && self.spec.parts(v) > self.spec.parts(bv))
-                }
-            };
-            if better {
-                best = Some((count, v));
-            }
+    /// The cofactor with respect to `p` of the cover the cubes `cubes` would
+    /// form, in their order, without building that cover first.
+    pub fn cofactor_of<'a>(
+        spec: &VarSpec,
+        cubes: impl IntoIterator<Item = &'a Cube>,
+        p: &Cube,
+    ) -> Cover {
+        Cover {
+            spec: spec.clone(),
+            cubes: cubes
+                .into_iter()
+                .filter_map(|c| c.cofactor(spec, p))
+                .collect(),
         }
-        best.map(|(_, v)| v)
     }
 
     /// Tautology check: does the cover contain every minterm?
     pub fn is_tautology(&self) -> bool {
-        if self.cubes.iter().any(|c| c.is_universe(&self.spec)) {
-            return true;
-        }
-        if self.cubes.is_empty() {
-            return false;
-        }
-        // Column check: a variable whose part-union over all cubes is not
-        // full leaves some minterm uncovered.
-        for v in self.spec.vars() {
-            for b in self.spec.var_range(v) {
-                if !self.cubes.iter().any(|c| c.bits().contains(b)) {
-                    return false;
-                }
-            }
-        }
-        let Some(v) = self.splitting_var() else {
-            // No splitting variable, no universal cube: only possible when
-            // there are no cubes, handled above.
-            return false;
-        };
-        for p in 0..self.spec.parts(v) {
-            let mut basis = Cube::universe(&self.spec);
-            for q in 0..self.spec.parts(v) {
-                if q != p {
-                    basis.clear_part(&self.spec, v, q);
-                }
-            }
-            if !self.cofactor(&basis).is_tautology() {
-                return false;
-            }
-        }
-        true
+        tautology(&self.spec, &self.cubes)
     }
 
     /// Cube containment: is `c` completely covered by the cover?
@@ -238,62 +187,12 @@ impl Cover {
 
     /// The complement of the cover, as a (containment-minimized) cover.
     pub fn complement(&self) -> Cover {
-        let mut result = self.complement_rec();
+        let mut result = Cover {
+            spec: self.spec.clone(),
+            cubes: complement_cubes(&self.spec, &self.cubes),
+        };
         result.single_cube_containment();
         result
-    }
-
-    fn complement_rec(&self) -> Cover {
-        if self.cubes.is_empty() {
-            return Cover::universe(self.spec.clone());
-        }
-        if self.cubes.iter().any(|c| c.is_universe(&self.spec)) {
-            return Cover::empty(self.spec.clone());
-        }
-        if self.cubes.len() == 1 {
-            return self.complement_single(&self.cubes[0]);
-        }
-        #[allow(clippy::expect_used)] // >= 2 cubes and none universal, so some
-        // variable is missing a part in some cube and must split.
-        let v = self
-            .splitting_var()
-            .expect("non-empty cover without universal cube has a splitting var");
-        let mut out = Cover::empty(self.spec.clone());
-        for p in 0..self.spec.parts(v) {
-            let mut basis = Cube::universe(&self.spec);
-            for q in 0..self.spec.parts(v) {
-                if q != p {
-                    basis.clear_part(&self.spec, v, q);
-                }
-            }
-            let sub = self.cofactor(&basis).complement_rec();
-            for c in sub.cubes {
-                if let Some(i) = c.intersection(&self.spec, &basis) {
-                    out.push(i);
-                }
-            }
-        }
-        out.single_cube_containment();
-        out
-    }
-
-    /// De Morgan complement of a single cube: one cube per non-full
-    /// variable, with that variable's parts inverted.
-    fn complement_single(&self, c: &Cube) -> Cover {
-        let mut out = Cover::empty(self.spec.clone());
-        for v in self.spec.vars() {
-            if c.var_is_full(&self.spec, v) {
-                continue;
-            }
-            let mut q = Cube::universe(&self.spec);
-            for p in 0..self.spec.parts(v) {
-                if c.part(&self.spec, v, p) {
-                    q.clear_part(&self.spec, v, p);
-                }
-            }
-            out.push(q);
-        }
-        out
     }
 
     /// Evaluates the cover on a minterm.
@@ -341,6 +240,106 @@ impl Cover {
             }
         }
     }
+}
+
+/// Chooses the splitting variable for unate recursion: the variable with a
+/// non-full part field in the most cubes (ties broken toward more parts,
+/// then toward the lower index). `None` when every cube is the universe or
+/// there are no cubes.
+fn splitting_var(spec: &VarSpec, cubes: &[Cube]) -> Option<usize> {
+    let mut count = vec![0usize; spec.num_vars()];
+    for c in cubes {
+        spec.for_each_non_full_var(c.bits().as_words(), |v| count[v] += 1);
+    }
+    let mut best: Option<(usize, usize)> = None; // (count, var)
+    for (v, &n) in count.iter().enumerate() {
+        if n == 0 {
+            continue;
+        }
+        let better = match best {
+            None => true,
+            Some((bn, bv)) => n > bn || (n == bn && spec.parts(v) > spec.parts(bv)),
+        };
+        if better {
+            best = Some((n, v));
+        }
+    }
+    best.map(|(_, v)| v)
+}
+
+/// The cofactor of `cubes` with respect to part `p` of variable `v` (the
+/// universe cube with `v` restricted to `p`): the cubes that admit `p`,
+/// with `v` made full. No other variable changes, so no distance test is
+/// needed.
+fn part_cofactor(spec: &VarSpec, cubes: &[Cube], v: usize, p: usize) -> Vec<Cube> {
+    let bit = spec.offset(v) + p;
+    cubes
+        .iter()
+        .filter(|c| c.bits().contains(bit))
+        .map(|c| {
+            let mut c = c.clone();
+            c.raise_var(spec, v);
+            c
+        })
+        .collect()
+}
+
+/// Tautology of the cover the cubes form, by unate recursion over part
+/// cofactors.
+fn tautology(spec: &VarSpec, cubes: &[Cube]) -> bool {
+    if cubes.iter().any(|c| c.is_universe(spec)) {
+        return true;
+    }
+    let Some((first, rest)) = cubes.split_first() else {
+        return false;
+    };
+    // Column check: a part no cube admits leaves some minterm uncovered.
+    let mut column = first.bits().clone();
+    for c in rest {
+        column.union_with(c.bits());
+    }
+    if column.count() != spec.total_bits() {
+        return false;
+    }
+    let Some(v) = splitting_var(spec, cubes) else {
+        // No splitting variable, no universal cube: only possible when
+        // there are no cubes, handled above.
+        return false;
+    };
+    (0..spec.parts(v)).all(|p| tautology(spec, &part_cofactor(spec, cubes, v, p)))
+}
+
+/// The complement of the cover the cubes form, by unate recursion over
+/// part cofactors.
+fn complement_cubes(spec: &VarSpec, cubes: &[Cube]) -> Vec<Cube> {
+    match cubes {
+        [] => return vec![Cube::universe(spec)],
+        _ if cubes.iter().any(|c| c.is_universe(spec)) => return Vec::new(),
+        // De Morgan: one cube per non-full variable, its parts inverted.
+        [c] => {
+            return spec
+                .vars()
+                .filter(|&v| !c.var_is_full(spec, v))
+                .map(|v| c.var_complement(spec, v))
+                .collect()
+        }
+        _ => {}
+    }
+    #[allow(clippy::expect_used)] // >= 2 cubes and none universal, so some
+    // variable is missing a part in some cube and must split.
+    let v = splitting_var(spec, cubes)
+        .expect("non-empty cover without universal cube has a splitting var");
+    let mut out = Cover::empty(spec.clone());
+    for p in 0..spec.parts(v) {
+        // Every cube of the cofactor, so of its complement, has `v` full:
+        // intersecting with the part's basis cube is restricting `v` to `p`.
+        for mut c in complement_cubes(spec, &part_cofactor(spec, cubes, v, p)) {
+            c.restrict_var(spec, v, p);
+            out.cubes.push(c);
+        }
+    }
+    out.single_cube_containment();
+    out.cubes
 }
 
 impl fmt::Debug for Cover {

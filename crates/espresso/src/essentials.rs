@@ -2,6 +2,7 @@
 //! replace are removed from the iteration and restored at the end, as in
 //! ESPRESSO proper.
 
+use crate::others_cofactor;
 use ioenc_cube::Cover;
 
 /// Splits `f` into `(essential, rest)`: a cube is (relatively) essential
@@ -13,14 +14,10 @@ pub fn split_essential(f: &Cover, dc: &Cover) -> (Cover, Cover) {
     let mut essential = Cover::empty(spec.clone());
     let mut rest = Cover::empty(spec.clone());
     for (i, cube) in f.cubes().iter().enumerate() {
-        let mut others = Cover::empty(spec.clone());
-        for (j, c) in f.cubes().iter().enumerate() {
-            if j != i {
-                others.push(c.clone());
-            }
-        }
-        let others = others.union(dc);
-        if others.contains_cube(cube) {
+        // Covered by the other cubes plus dc? (A void cube is covered, as
+        // in `Cover::contains_cube`.)
+        if cube.is_void(&spec) || others_cofactor(&spec, f.cubes(), i, |_| true, dc).is_tautology()
+        {
             rest.push(cube.clone());
         } else {
             essential.push(cube.clone());

@@ -74,12 +74,12 @@ pub fn exact_minimize(on: &Cover, dc: &Cover) -> Cover {
                 if cube.bits().contains(b) {
                     continue;
                 }
-                let mut trial = cube.clone();
-                let (v, part) = locate(&spec, b);
-                trial.set_part(&spec, v, part);
-                if off.cubes().iter().all(|o| trial.distance(&spec, o) > 0) {
-                    cube = trial;
+                let (v, part) = spec.locate(b);
+                cube.set_part(&spec, v, part);
+                if off.cubes().iter().all(|o| !cube.intersects(&spec, o)) {
                     grown = true;
+                } else {
+                    cube.clear_part(&spec, v, part);
                 }
             }
             if !grown {
@@ -115,15 +115,6 @@ pub fn exact_minimize(on: &Cover, dc: &Cover) -> Cover {
         spec,
         sol.columns.into_iter().map(|k| primes[k].clone()).collect(),
     )
-}
-
-fn locate(spec: &ioenc_cube::VarSpec, bit: usize) -> (usize, usize) {
-    for v in spec.vars() {
-        if spec.var_range(v).contains(&bit) {
-            return (v, bit - spec.offset(v));
-        }
-    }
-    unreachable!("bit {bit} beyond spec width");
 }
 
 #[cfg(test)]

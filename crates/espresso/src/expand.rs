@@ -12,13 +12,14 @@ use ioenc_cube::{Cover, Cube};
 /// cubes. The result contains only maximally-expanded cubes with contained
 /// cubes removed.
 pub fn expand(f: &Cover, off: &Cover) -> Cover {
-    let spec = f.spec().clone();
+    let spec = f.spec();
     let mut cubes: Vec<Cube> = f.cubes().to_vec();
     // Most specific cubes first: they benefit most from expansion and their
     // expansion is most likely to swallow others.
     cubes.sort_by_key(|c| c.bits().count());
     let mut covered = vec![false; cubes.len()];
     let mut result = Cover::empty(spec.clone());
+    let mut freq = vec![0usize; spec.total_bits()];
 
     for i in 0..cubes.len() {
         if covered[i] {
@@ -27,38 +28,38 @@ pub fn expand(f: &Cover, off: &Cover) -> Cover {
         let mut cube = cubes[i].clone();
         // Candidate bits, ordered by how often they appear in the remaining
         // uncovered cubes (descending).
-        let mut free: Vec<usize> = (0..spec.total_bits())
-            .filter(|&b| !cube.bits().contains(b))
-            .collect();
-        let mut freq = vec![0usize; spec.total_bits()];
+        let mut free: Vec<usize> = cube.bits().complement().iter().collect();
+        freq.fill(0);
         for (j, c) in cubes.iter().enumerate() {
             if j != i && !covered[j] {
-                for b in c.bits().iter() {
-                    freq[b] += 1;
-                }
+                c.bits().for_each_set(|b| freq[b] += 1);
             }
         }
         free.sort_by_key(|&b| std::cmp::Reverse(freq[b]));
-        // Greedy raising loop: keep sweeping until no bit can be raised.
-        loop {
-            let mut raised = false;
-            free.retain(|&b| {
-                if cube.bits().contains(b) {
-                    return false;
+        // A cube that already meets the off-set cannot grow: every raised
+        // cube would meet it too.
+        if disjoint_from_cover(&cube, off) {
+            // Greedy raising loop: keep sweeping until no bit can be raised.
+            // The cube is disjoint from the off-set before each raise, so
+            // only off-set cubes holding the raised bit can meet it after.
+            loop {
+                let mut raised = false;
+                free.retain(|&b| {
+                    let (v, p) = spec.locate(b);
+                    cube.set_part(spec, v, p);
+                    let conflict = off
+                        .cubes()
+                        .iter()
+                        .any(|o| o.bits().contains(b) && cube.intersects(spec, o));
+                    if conflict {
+                        cube.clear_part(spec, v, p);
+                    }
+                    raised |= !conflict;
+                    conflict
+                });
+                if !raised {
+                    break;
                 }
-                let mut trial = cube.clone();
-                let (v, p) = locate(&spec, b);
-                trial.set_part(&spec, v, p);
-                if disjoint_from_cover(&trial, off) {
-                    cube = trial;
-                    raised = true;
-                    false
-                } else {
-                    true
-                }
-            });
-            if !raised {
-                break;
             }
         }
         // Mark every cube the expanded prime now covers.
@@ -73,18 +74,8 @@ pub fn expand(f: &Cover, off: &Cover) -> Cover {
     result
 }
 
-fn locate(spec: &ioenc_cube::VarSpec, bit: usize) -> (usize, usize) {
-    for v in spec.vars() {
-        let r = spec.var_range(v);
-        if r.contains(&bit) {
-            return (v, bit - spec.offset(v));
-        }
-    }
-    unreachable!("bit {bit} beyond spec width");
-}
-
 fn disjoint_from_cover(cube: &Cube, off: &Cover) -> bool {
-    off.cubes().iter().all(|o| cube.distance(off.spec(), o) > 0)
+    off.cubes().iter().all(|o| !cube.intersects(off.spec(), o))
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! The `irredundant` step: remove cubes covered by the rest of the cover
 //! plus the don't-care set.
 
+use crate::others_cofactor;
 use ioenc_cube::Cover;
 
 /// Produces an irredundant subset of `f`: no remaining cube is covered by
@@ -17,15 +18,11 @@ pub fn irredundant(f: &Cover, dc: &Cover) -> Cover {
     cubes.sort_by_key(|c| std::cmp::Reverse(c.bits().count()));
     let mut keep = vec![true; cubes.len()];
     for i in 0..cubes.len() {
-        // Build the cover of everything else currently kept, plus dc.
-        let mut rest = Cover::empty(spec.clone());
-        for (j, c) in cubes.iter().enumerate() {
-            if j != i && keep[j] {
-                rest.push(c.clone());
-            }
-        }
-        let rest = rest.union(dc);
-        if rest.contains_cube(&cubes[i]) {
+        // Is the cube covered by everything else currently kept, plus dc?
+        // (A void cube is covered, as in `Cover::contains_cube`.)
+        if cubes[i].is_void(&spec)
+            || others_cofactor(&spec, &cubes, i, |j| keep[j], dc).is_tautology()
+        {
             keep[i] = false;
         }
     }

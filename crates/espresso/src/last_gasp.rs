@@ -3,7 +3,7 @@
 //! maximally reduced cube is re-expanded, and any expansion that covers two
 //! or more of the reduced cubes is offered to `irredundant` as a new prime.
 
-use crate::{expand, irredundant};
+use crate::{expand, irredundant, others_cofactor};
 use ioenc_cube::{Cover, Cube};
 
 /// Runs one LAST_GASP attempt; returns an improved cover or the input.
@@ -15,14 +15,7 @@ pub fn last_gasp(f: &Cover, dc: &Cover, off: &Cover) -> Cover {
     // Order-independent maximal reduction: every cube against all others.
     let mut reduced: Vec<Cube> = Vec::new();
     for (i, c) in f.cubes().iter().enumerate() {
-        let mut rest = Cover::empty(spec.clone());
-        for (j, other) in f.cubes().iter().enumerate() {
-            if j != i {
-                rest.push(other.clone());
-            }
-        }
-        let rest = rest.union(dc);
-        let comp = rest.cofactor(c).complement();
+        let comp = others_cofactor(&spec, f.cubes(), i, |_| true, dc).complement();
         if comp.is_empty() {
             continue; // fully covered by the others
         }

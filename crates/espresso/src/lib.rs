@@ -149,6 +149,26 @@ pub fn minimize_bounded(
     (result, stats)
 }
 
+/// The cofactor against `f[i]` of `(F \ {f[i]}) ∪ D`, where `F` is the
+/// cubes of `f` that `live` admits, in order, followed by `dc`'s cubes.
+/// It reads the cubes straight from the slices instead of first building
+/// the cover it cofactors. Irredundant, essentials, reduce and LAST_GASP
+/// all ask their question of this cover.
+pub(crate) fn others_cofactor(
+    spec: &VarSpec,
+    f: &[Cube],
+    i: usize,
+    live: impl Fn(usize) -> bool,
+    dc: &Cover,
+) -> Cover {
+    let others = f
+        .iter()
+        .enumerate()
+        .filter(|&(j, _)| j != i && live(j))
+        .map(|(_, c)| c);
+    Cover::cofactor_of(spec, others.chain(dc.cubes()), &f[i])
+}
+
 /// The (cube count, total-cleared-bit) cost ordering used to detect
 /// convergence of the minimization loop.
 fn cost(f: &Cover) -> (usize, usize) {
@@ -205,8 +225,8 @@ pub struct Pla {
 impl Pla {
     /// An empty PLA with `inputs` binary inputs and `outputs` outputs.
     ///
-    /// A 1-output PLA is modelled with a 2-part output variable whose part
-    /// 0 is unused.
+    /// A 1-output PLA is modelled with a 2-part output variable: output 0
+    /// is part 0, and part 1 is unused.
     pub fn new(inputs: usize, outputs: usize) -> Self {
         let parts = outputs.max(2);
         let spec = VarSpec::binary_with_output(inputs, parts);

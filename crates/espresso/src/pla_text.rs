@@ -5,22 +5,21 @@
 use crate::Pla;
 use ioenc_cube::{Cover, Cube, VarSpec};
 
-/// Renders a minimized multiple-output cover (PLA shape: binary inputs then
-/// one output variable) in `.pla` text.
+/// Renders a minimized cover of `pla` (PLA shape: binary inputs then one
+/// output variable) in `.pla` text, with `pla`'s declared input and output
+/// counts.
 ///
 /// Output columns print `1` for an asserted output and `0` otherwise (type
-/// `f` semantics, espresso's default).
+/// `f` semantics, espresso's default). A 1-output PLA prints one output
+/// column: the unused second part of its output variable is not an output.
 ///
 /// # Panics
 ///
-/// Panics if `inputs` exceeds the spec's variable count.
-pub fn cover_to_pla_text(cover: &Cover, inputs: usize) -> String {
+/// Panics if the cover is not over `pla`'s spec.
+pub fn cover_to_pla_text(cover: &Cover, pla: &Pla) -> String {
     let spec = cover.spec();
-    assert!(
-        inputs < spec.num_vars(),
-        "PLA shape needs an output variable"
-    );
-    let outputs = spec.parts(inputs);
+    assert!(spec == pla.spec(), "cover is not over the PLA's spec");
+    let (inputs, outputs) = (pla.inputs(), pla.outputs());
     let mut out = String::new();
     out.push_str(&format!(".i {inputs}\n.o {outputs}\n.p {}\n", cover.len()));
     for cube in cover.cubes() {
@@ -167,7 +166,7 @@ mod tests {
         pla.add_on(&[Some(true), Some(false), None], &[0]);
         pla.add_on(&[None, Some(true), Some(true)], &[0, 1]);
         let m = pla.minimize();
-        let text = cover_to_pla_text(&m, 3);
+        let text = cover_to_pla_text(&m, &pla);
         assert!(text.starts_with(".i 3\n.o 2\n"));
         let again = parse_pla_text(&text).unwrap();
         let m2 = again.minimize();

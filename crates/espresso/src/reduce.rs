@@ -2,6 +2,7 @@
 //! the minterms no other cube (or don't-care) covers, so a later `expand`
 //! can escape local minima.
 
+use crate::others_cofactor;
 use ioenc_cube::{Cover, Cube};
 
 /// Reduces every cube of `f` in place against the rest of the cover and
@@ -19,16 +20,7 @@ pub fn reduce(f: &Cover, dc: &Cover) -> Cover {
     cubes.sort_by_key(|c| std::cmp::Reverse(c.bits().count()));
     let mut i = 0;
     while i < cubes.len() {
-        let c = cubes[i].clone();
-        let mut rest = Cover::empty(spec.clone());
-        for (j, other) in cubes.iter().enumerate() {
-            if j != i {
-                rest.push(other.clone());
-            }
-        }
-        let rest = rest.union(dc);
-        let cof = rest.cofactor(&c);
-        let comp = cof.complement();
+        let comp = others_cofactor(&spec, &cubes, i, |_| true, dc).complement();
         if comp.is_empty() {
             // c is covered by the others: drop it.
             cubes.remove(i);
@@ -43,7 +35,7 @@ pub fn reduce(f: &Cover, dc: &Cover) -> Cover {
         }
         // comp was checked non-empty above, so `sup` is always `Some`.
         if let Some(sup) = sup {
-            if let Some(reduced) = c.intersection(&spec, &sup) {
+            if let Some(reduced) = cubes[i].intersection(&spec, &sup) {
                 cubes[i] = reduced;
             }
         }

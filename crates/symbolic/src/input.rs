@@ -35,8 +35,8 @@ pub fn input_constraints(fsm: &Fsm) -> ConstraintSet {
         // With fewer than 3 states every non-trivial group is "all states".
         return cs;
     }
-    let minimized = minimized_cover(fsm);
-    let spec = minimized.spec().clone();
+    let (spec, on, dc, off) = build_covers(fsm);
+    let minimized = minimize(&on, &dc, Some(&off));
     let ps_var = fsm.num_inputs();
     let mut groups: BTreeSet<Vec<usize>> = BTreeSet::new();
     for cube in minimized.cubes() {
@@ -66,8 +66,8 @@ pub fn input_constraints_with_dc(fsm: &Fsm) -> ConstraintSet {
     if ns < 3 {
         return cs;
     }
-    let (spec, on, _, _) = build_covers(fsm);
-    let minimized = minimized_cover(fsm);
+    let (spec, on, dc, off) = build_covers(fsm);
+    let minimized = minimize(&on, &dc, Some(&off));
     let ps_var = fsm.num_inputs();
     let mut groups: BTreeSet<(Vec<usize>, Vec<usize>)> = BTreeSet::new();
     for cube in minimized.cubes() {
@@ -100,13 +100,6 @@ pub fn input_constraints_with_dc(fsm: &Fsm) -> ConstraintSet {
         cs.add_face_with_dc(members, dcs);
     }
     cs
-}
-
-/// The multiple-valued minimized cover of the FSM's transition table.
-pub(crate) fn minimized_cover(fsm: &Fsm) -> Cover {
-    let (spec, on, dc, off) = build_covers(fsm);
-    let _ = spec;
-    minimize(&on, &dc, Some(&off))
 }
 
 /// Builds (spec, on, dc, off) for the symbolic table.
@@ -277,7 +270,7 @@ mod tests {
         // containment (exhaustive enumeration is too big).
         let fsm = shared_behavior_fsm();
         let (spec, on, dc, off) = build_covers(&fsm);
-        let m = minimized_cover(&fsm);
+        let m = minimize(&on, &dc, Some(&off));
         let m_plus_dc = m.union(&dc);
         for c in on.cubes() {
             assert!(

@@ -787,7 +787,7 @@ pub fn synth(kiss_text: &str, opts: &SynthOptions) -> Result<SynthRun, SynthErro
             let cap = opts.budget.after(&spent).max_espresso_iters;
             let (cover, stats) = pla.minimize_bounded(cap);
             charge_minimize(Stage::Realize, stats, &mut spent)?;
-            Ok((cover_to_pla_text(&cover, pla.inputs()), false))
+            Ok((cover_to_pla_text(&cover, &pla), false))
         },
         |p| parse_pla_text(p).map_err(EncodeError::parse),
     )?;

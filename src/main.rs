@@ -290,7 +290,7 @@ fn run(args: &[String]) -> Result<ExitCode, EncodeError> {
             let m = pla.minimize();
             let (cubes, lits) = ioenc::espresso::summary(&m, pla.inputs());
             eprintln!("# minimized to {cubes} product terms, {lits} input literals");
-            print!("{}", cover_to_pla_text(&m, pla.inputs()));
+            print!("{}", cover_to_pla_text(&m, &pla));
             Ok(ExitCode::SUCCESS)
         }
         "table" => {

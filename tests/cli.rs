@@ -525,6 +525,43 @@ fn minimize_subcommand_shrinks_pla() {
     assert!(stdout.contains("11- 10"), "{stdout}");
 }
 
+/// A 1-output PLA minimizes to a 1-output PLA (the minimizer's output
+/// variable has a second, unused part that must not be printed), and
+/// minimizing that output again reproduces it byte for byte.
+#[test]
+fn minimize_keeps_a_single_output_column() {
+    let path = write_temp("pla-one-output", ".i 2\n.o 1\n11 1\n01 1\n.e\n");
+    let (ok, stdout, stderr) = run(&["minimize", path.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout, ".i 2\n.o 1\n.p 1\n-1 1\n.e\n");
+    let again = write_temp("pla-one-output-again", &stdout);
+    let (ok, twice, stderr) = run(&["minimize", again.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    assert_eq!(twice, stdout);
+}
+
+/// `ioenc minimize` on the PLAs in `tests/fixtures/espresso/`, pinned byte
+/// for byte: encoded next-state/output PLAs of generated machines (one of
+/// the slowest to minimize among them), a 1-output PLA and two seeded
+/// random PLAs whose cubes span two 64-bit words.
+#[test]
+fn minimize_answers_match_pinned_bytes() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/espresso");
+    let mut plas: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
+        .expect("fixture directory")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "pla"))
+        .collect();
+    plas.sort();
+    assert_eq!(plas.len(), 8, "{plas:?}");
+    for pla in &plas {
+        let want = std::fs::read_to_string(pla.with_extension("out")).expect("pinned answer");
+        let (ok, stdout, stderr) = run(&["minimize", pla.to_str().unwrap()]);
+        assert!(ok, "{}: {stderr}", pla.display());
+        assert_eq!(stdout, want, "{}", pla.display());
+    }
+}
+
 // --- synth pipeline CLI ---
 
 /// A tiny KISS2 machine shared by the synth CLI tests.
