@@ -554,14 +554,12 @@ impl ConstraintSet {
 
     /// Dominance pairs including those implied by disjunctive constraints:
     /// `p = a ∨ b` implies `p > a` and `p > b`.
-    pub fn all_dominances(&self) -> Vec<(usize, usize)> {
-        let mut out = self.dominances.clone();
-        for d in &self.disjunctives {
-            for &c in &d.children {
-                out.push((d.parent, c));
-            }
-        }
-        out
+    pub fn all_dominances(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let implied = self
+            .disjunctives
+            .iter()
+            .flat_map(|d| d.children.iter().map(move |&c| (d.parent, c)));
+        self.dominances.iter().copied().chain(implied)
     }
 
     /// Restricts the constraint set to `symbols`, renumbering them
@@ -904,7 +902,7 @@ mod tests {
         assert!(cs.has_output_constraints());
         assert!(cs.has_binate_constraints());
         assert_eq!(cs.faces().len(), 2);
-        assert_eq!(cs.all_dominances().len(), 3);
+        assert_eq!(cs.all_dominances().count(), 3);
         assert_eq!(cs.name(0), "s0");
         assert_eq!(cs.symbol("s3"), Some(3));
         assert_eq!(cs.symbol("zz"), None);

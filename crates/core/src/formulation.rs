@@ -71,7 +71,7 @@ impl BinateFormulation {
             });
         }
         // Output constraints: single-0 rows per violating column.
-        for &(a, b) in &cs.all_dominances() {
+        for (a, b) in cs.all_dominances() {
             for (j, &col) in columns.iter().enumerate() {
                 let bit_a = col >> a & 1;
                 let bit_b = col >> b & 1;

@@ -88,10 +88,9 @@ pub(crate) fn raise_dichotomy_traced(
     trace: &mut dyn FnMut(RaiseAtom),
 ) -> Option<Dichotomy> {
     let mut d = d.clone();
-    let dominances = cs.all_dominances();
     loop {
         let mut changed = false;
-        for &(a, b) in &dominances {
+        for (a, b) in cs.all_dominances() {
             if d.in_left(a) && !d.in_left(b) {
                 trace(RaiseAtom::Dominance(a, b));
                 if !d.insert_left(b) {

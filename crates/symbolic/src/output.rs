@@ -1,7 +1,7 @@
 //! Output (dominance and disjunctive) constraint generation.
 
 use crate::input_constraints;
-use ioenc_core::{check_feasible, ConstraintSet};
+use ioenc_core::{check_feasible, initial_dichotomies, raise_dichotomy, ConstraintSet, Dichotomy};
 use ioenc_kiss::Fsm;
 
 /// How many output constraints to derive (the paper's Table 1 machines
@@ -62,17 +62,19 @@ pub fn output_constraints(fsm: &Fsm, cs: ConstraintSet, profile: &OutputProfile)
             preds[t.to].push(t.from);
         }
     }
-    let out_ones = |s: usize| -> u64 {
-        let mut sig = 0u64;
-        for t in fsm.transitions_into(s) {
-            for (j, o) in t.output.iter().enumerate() {
-                if *o == Some(true) && j < 64 {
-                    sig |= 1 << j;
+    let out_ones: Vec<u64> = (0..ns)
+        .map(|s| {
+            let mut sig = 0u64;
+            for t in fsm.transitions_into(s) {
+                for (j, o) in t.output.iter().enumerate() {
+                    if *o == Some(true) && j < 64 {
+                        sig |= 1 << j;
+                    }
                 }
             }
-        }
-        sig
-    };
+            sig
+        })
+        .collect();
 
     // Dominance candidates.
     let mut dom: Vec<(usize, usize, usize)> = Vec::new(); // (score, a, b)
@@ -85,8 +87,7 @@ pub fn output_constraints(fsm: &Fsm, cs: ConstraintSet, profile: &OutputProfile)
             if shared == 0 {
                 continue;
             }
-            let sig_a = out_ones(a);
-            let sig_b = out_ones(b);
+            let (sig_a, sig_b) = (out_ones[a], out_ones[b]);
             // a > b pays off when a's asserted outputs cover b's.
             let covers = (sig_a | sig_b) == sig_a;
             let score = shared * 2 + usize::from(covers) * 3 + preds[a].len();
@@ -94,6 +95,7 @@ pub fn output_constraints(fsm: &Fsm, cs: ConstraintSet, profile: &OutputProfile)
         }
     }
     dom.sort_by_key(|&(score, a, b)| (std::cmp::Reverse(score), a, b));
+    let mut admission = Admission::new(&cs);
     let mut taken = 0;
     for (attempts, &(_, a, b)) in dom.iter().enumerate() {
         if taken >= profile.max_dominance || attempts >= 4 * profile.max_dominance + 16 {
@@ -103,14 +105,15 @@ pub fn output_constraints(fsm: &Fsm, cs: ConstraintSet, profile: &OutputProfile)
         if cs.dominances().contains(&(b, a)) || cs.dominances().contains(&(a, b)) {
             continue;
         }
-        cs.add_dominance(a, b);
-        if check_feasible(&cs).is_feasible() {
+        let mut trial = cs.clone();
+        trial.add_dominance(a, b);
+        // `a > b` fires where `a` is at 0 and `b` is not, or `b` is at 1
+        // and `a` is not.
+        if admission.admit(&trial, |d| {
+            (d.in_left(a) && !d.in_left(b)) || (d.in_right(b) && !d.in_right(a))
+        }) {
+            cs = trial;
             taken += 1;
-        } else {
-            let mut rebuilt = cs.clone();
-            let dominances = cs.dominances().to_vec();
-            rebuilt = rebuild_without_last_dominance(&rebuilt, &dominances);
-            cs = rebuilt;
         }
     }
 
@@ -148,7 +151,9 @@ pub fn output_constraints(fsm: &Fsm, cs: ConstraintSet, profile: &OutputProfile)
         }
         let mut trial = cs.clone();
         trial.add_disjunctive(p, [a, b]);
-        if check_feasible(&trial).is_feasible() {
+        // Every rule of `p = a ∨ b` (and of its implied `p > a`, `p > b`)
+        // needs one of its three symbols assigned.
+        if admission.admit(&trial, |d| d.assigns(p) || d.assigns(a) || d.assigns(b)) {
             cs = trial;
             used_parents.push(p);
             taken += 1;
@@ -158,26 +163,86 @@ pub fn output_constraints(fsm: &Fsm, cs: ConstraintSet, profile: &OutputProfile)
     cs
 }
 
-/// Rebuilds the constraint set without the most recent dominance (the
-/// builder API is append-only; reconstruct instead of exposing removal).
-fn rebuild_without_last_dominance(
-    cs: &ConstraintSet,
-    dominances: &[(usize, usize)],
-) -> ConstraintSet {
-    let names: Vec<String> = (0..cs.num_symbols())
-        .map(|s| cs.name(s).to_string())
-        .collect();
-    let mut out = ConstraintSet::with_names(names);
-    for f in cs.faces() {
-        out.add_face_with_dc(f.members.iter(), f.dont_cares.iter());
+/// Theorem 6.1's feasibility check (P-1), kept across the candidates of
+/// one machine instead of rerun from scratch for each.
+///
+/// The initial dichotomies depend only on the faces, so they are built
+/// once; the state holds the maximal raise of each under the admitted
+/// constraints. A candidate re-raises only the entries on which one of its
+/// own rules can fire, resuming from the stored fixpoint: raising is a
+/// monotone closure, so the raise under `S ∪ A` of the raise under `S` is
+/// the raise under `S ∪ A` (DESIGN.md §6j).
+struct Admission {
+    /// `raised[k]`: the maximal raise of initial dichotomy `k`, or `None`
+    /// once raising it conflicts (it is then invalid, Theorem 6.1's
+    /// deletion, and stays so under every superset).
+    raised: Vec<Option<Dichotomy>>,
+    /// `flip[k]`: the index of initial dichotomy `k` with its blocks
+    /// swapped (the initial dichotomies come in both orientations).
+    flip: Vec<usize>,
+    /// Whether the admitted set itself passes; when it does not, no
+    /// superset can.
+    feasible: bool,
+}
+
+impl Admission {
+    fn new(cs: &ConstraintSet) -> Self {
+        let initial = initial_dichotomies(cs, false);
+        #[allow(clippy::expect_used)] // without symmetry breaking, both
+        // orientations of every initial dichotomy are generated.
+        let flip = initial
+            .iter()
+            .map(|d| {
+                initial
+                    .binary_search(&d.flipped())
+                    .expect("initial dichotomies come in both orientations")
+            })
+            .collect();
+        let raised = initial.iter().map(|d| raise_dichotomy(d, cs)).collect();
+        let mut state = Admission {
+            raised,
+            flip,
+            feasible: true,
+        };
+        state.feasible = (0..state.raised.len()).all(|k| state.covered(k));
+        state
     }
-    for &(a, b) in &dominances[..dominances.len().saturating_sub(1)] {
-        out.add_dominance(a, b);
+
+    /// Whether some surviving raise covers initial dichotomy `k`, in either
+    /// orientation. A raise that covers it contains it or its flip, and
+    /// then that dichotomy's own raise cannot conflict; so it is enough to
+    /// look at those two entries (DESIGN.md §6j).
+    fn covered(&self, k: usize) -> bool {
+        self.raised[k].is_some() || self.raised[self.flip[k]].is_some()
     }
-    for (p, children) in cs.disjunctives() {
-        out.add_disjunctive(p, children.iter().copied());
+
+    /// Theorem 6.1's verdict on `trial`, the admitted set plus one
+    /// candidate whose rules can fire only where `fires` holds. On `true`
+    /// the state moves to `trial`; on `false`, at the first initial
+    /// dichotomy left uncovered, it is left as it was.
+    fn admit(&mut self, trial: &ConstraintSet, fires: impl Fn(&Dichotomy) -> bool) -> bool {
+        if !self.feasible {
+            return false;
+        }
+        let mut undo = Vec::new();
+        for k in 0..self.raised.len() {
+            let Some(d) = &self.raised[k] else {
+                continue;
+            };
+            if !fires(d) {
+                continue;
+            }
+            let raised = raise_dichotomy(d, trial);
+            undo.push((k, std::mem::replace(&mut self.raised[k], raised)));
+            if !self.covered(k) {
+                for (k, old) in undo {
+                    self.raised[k] = old;
+                }
+                return false;
+            }
+        }
+        true
     }
-    out
 }
 
 #[cfg(test)]
@@ -233,6 +298,32 @@ mod tests {
             cs.has_output_constraints(),
             "expected some output constraints; got:\n{cs}"
         );
+    }
+
+    #[test]
+    fn rejected_candidates_keep_the_input_constraints() {
+        // Machines on which some dominance candidate is rejected; the set
+        // must still hold every constraint of the input, spans included.
+        for states in 6..=12 {
+            let fsm = generate(&BenchmarkSpec::sized("keep", states));
+            let faces = input_constraints(&fsm);
+            let names: Vec<&str> = (0..faces.num_symbols()).map(|s| faces.name(s)).collect();
+            let text = format!(
+                "{faces}dist2({},{})\n!({},{})\n",
+                names[0], names[1], names[1], names[2]
+            );
+            let cs = ConstraintSet::parse(&names, &text).unwrap();
+            let out = output_constraints(&fsm, cs.clone(), &OutputProfile::default());
+            assert_eq!(
+                out.distance2_pairs(),
+                cs.distance2_pairs(),
+                "{states} states"
+            );
+            assert_eq!(out.nonfaces(), cs.nonfaces(), "{states} states");
+            for r in cs.constraint_refs() {
+                assert_eq!(out.span_of(r), cs.span_of(r), "{states} states, {r:?}");
+            }
+        }
     }
 
     #[test]

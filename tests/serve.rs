@@ -402,16 +402,29 @@ fn wait_for_banner(child: &mut Child) -> String {
     }
 }
 
+/// Kills and reaps a server child when dropped, so a test that fails
+/// before the server exits does not leave it running.
+struct KillOnDrop(Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 #[test]
 fn serve_tcp_round_trips_on_an_ephemeral_port() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_ioenc"))
-        .args(["serve", "--tcp", "0", "--workers", "2"])
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("server spawns");
-    let banner = wait_for_banner(&mut child);
+    let mut child = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_ioenc"))
+            .args(["serve", "--tcp", "0", "--workers", "2"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("server spawns"),
+    );
+    let banner = wait_for_banner(&mut child.0);
     let addr = banner
         .trim()
         .rsplit(' ')
@@ -435,6 +448,6 @@ fn serve_tcp_round_trips_on_an_ephemeral_port() {
     line.clear();
     reader.read_line(&mut line).expect("shutdown ack");
     assert!(line.contains("\"shutting_down\":true"), "{line}");
-    let status = child.wait().expect("server exits");
+    let status = child.0.wait().expect("server exits");
     assert!(status.success(), "server exit: {status}");
 }

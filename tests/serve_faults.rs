@@ -192,6 +192,14 @@ impl TcpServer {
     }
 }
 
+/// A test that fails before `shutdown` must not leave its server running.
+impl Drop for TcpServer {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 /// Pulls the first integer after `"<field>":` out of a stats line.
 fn stat_field(stats: &str, field: &str) -> u64 {
     stats
